@@ -17,7 +17,7 @@ from repro.eval import ExperimentSpec, Table
 from repro.eval.experiments import _make_video
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
-from repro.runtime import EdgeServer, Pipeline
+from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
 
 THRESHOLDS = (0.05, 0.15, 0.25, 0.5, 0.8)
 
@@ -38,7 +38,7 @@ def _run_with_threshold(threshold: float, num_frames: int, seed: int):
     server = EdgeServer(
         SimulatedSegmentationModel("mask_rcnn_r101", "jetson_tx2", np.random.default_rng(seed + 29))
     )
-    return Pipeline(video, client, channel, server).run()
+    return MultiClientPipeline([ClientSession(video, client, channel)], server).run()[0]
 
 
 def run_cfrs_ablation(num_frames: int = 150, seed: int = 0, quiet: bool = False) -> dict:

@@ -17,7 +17,7 @@ from repro.eval import ExperimentSpec, Table
 from repro.eval.experiments import _make_video
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
-from repro.runtime import EdgeServer, Pipeline
+from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
 
 INTERVALS = (10, 20, 40, 80)
 
@@ -44,7 +44,8 @@ def run_offload_ablation(num_frames: int = 180, seed: int = 0, quiet: bool = Fal
                 "mask_rcnn_r101", "jetson_tx2", np.random.default_rng(seed + 29)
             )
         )
-        result = Pipeline(video, client, channel, server).run()
+        session = ClientSession(video, client, channel)
+        result = MultiClientPipeline([session], server).run()[0]
         summary[interval] = {
             "mean_iou": result.mean_iou(),
             "offloads": result.offload_count,

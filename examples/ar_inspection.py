@@ -51,7 +51,7 @@ def main() -> None:
     from repro.eval.experiments import _make_video, build_client
     from repro.model import SimulatedSegmentationModel
     from repro.network import make_channel
-    from repro.runtime import EdgeServer, Pipeline
+    from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
 
     video = _make_video(spec)
     client = build_client(spec.system, video, seed=spec.seed)
@@ -67,7 +67,8 @@ def main() -> None:
     server = EdgeServer(
         SimulatedSegmentationModel("mask_rcnn_r101", spec.server_device)
     )
-    result = Pipeline(video, client, channel, server).run()
+    session = ClientSession(video, client, channel)
+    result = MultiClientPipeline([session], server).run()[0]
 
     shape = (video.camera.height, video.camera.width)
     for frame_index in range(60, spec.num_frames, 45):

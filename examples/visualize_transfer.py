@@ -20,7 +20,7 @@ from repro.eval.experiments import ExperimentSpec, _make_video, build_client
 from repro.image import mask_iou, overlay_masks, save_ppm
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
-from repro.runtime import EdgeServer, Pipeline
+from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
 
 
 def main() -> None:
@@ -42,7 +42,8 @@ def main() -> None:
     client.process_frame = capture
     channel = make_channel("wifi_5ghz", np.random.default_rng(7))
     server = EdgeServer(SimulatedSegmentationModel("mask_rcnn_r101", "jetson_tx2"))
-    result = Pipeline(video, client, channel, server).run()
+    session = ClientSession(video, client, channel)
+    result = MultiClientPipeline([session], server).run()[0]
 
     saved = 0
     for frame_index in range(45, spec.num_frames, 15):

@@ -55,6 +55,12 @@ class MobileOnlyClient:
     def offload_rejected(self, frame_index, now_ms) -> None:
         pass  # never offloads, nothing in flight
 
+    def set_offload_enabled(self, enabled) -> None:
+        pass  # never offloads
+
+    def request_keyframe(self) -> None:
+        pass  # never offloads
+
     def memory_bytes(self) -> int:
         return 350 * 1024 * 1024  # resident model weights
 
@@ -109,6 +115,12 @@ class _TrackedOffloadClient:
     def offload_rejected(self, frame_index, now_ms) -> None:
         # Free the slot; the tracker keeps coasting on its current state.
         self._outstanding = max(0, self._outstanding - 1)
+
+    def set_offload_enabled(self, enabled) -> None:
+        pass  # no degraded mode: offloads whenever a slot is free
+
+    def request_keyframe(self) -> None:
+        pass  # every offload is already a whole encoded frame
 
     def memory_bytes(self) -> int:
         return 80 * 1024 * 1024
@@ -170,6 +182,12 @@ class BestEffortEdgeClient:
     def offload_rejected(self, frame_index, now_ms) -> None:
         # Free the slot; keep rendering the last delivered masks.
         self._outstanding = max(0, self._outstanding - 1)
+
+    def set_offload_enabled(self, enabled) -> None:
+        pass  # no degraded mode: offloads whenever a slot is free
+
+    def request_keyframe(self) -> None:
+        pass  # every offload is already a full-quality frame
 
     def memory_bytes(self) -> int:
         return 60 * 1024 * 1024

@@ -235,7 +235,7 @@ class EdgeISSystem:
         return 24 * 1024 * 1024 + self.vo.map.memory_bytes()
 
     # ------------------------------------------------------------------
-    # Fleet-scheduler capabilities (optional ClientSystem extensions)
+    # Fleet-scheduler hooks of the ClientSystem protocol
     # ------------------------------------------------------------------
     def set_offload_enabled(self, enabled: bool) -> None:
         """Degrade/recover hook: while disabled the client skips the

@@ -26,7 +26,7 @@ from ..network.channel import make_channel, spawn_channel_rngs
 from ..obs.timeline import TimelineSampler
 from ..obs.trace import NULL_TRACER, Tracer
 from ..runtime.multi import ClientSession, MultiClientPipeline
-from ..runtime.pipeline import EdgeServer, Pipeline, RunResult
+from ..runtime.pipeline import EdgeServer, RunResult
 from ..runtime.resources import DEVICE_POWER, ResourceMonitor
 from ..serve import AdmissionConfig, BatchConfig, DegradeConfig, FleetScheduler
 from ..tenancy import Autoscaler, AutoscalerConfig, TenantDirectory, parse_tenants
@@ -42,7 +42,6 @@ __all__ = [
     "build_client",
     "run_experiment",
     "run_fleet",
-    "run_grid",
 ]
 
 SYSTEM_NAMES = (
@@ -150,22 +149,25 @@ def _make_video(spec: ExperimentSpec) -> SyntheticVideo:
     )
 
 
+def _server_device(name: str, latency_scale: float) -> DeviceProfile:
+    """The named edge device, slowed down by ``latency_scale`` (the bench
+    degrade knob); the catalog profile itself when the scale is 1."""
+    device = DEVICES[name]
+    if latency_scale == 1.0:
+        return device
+    return DeviceProfile(f"{device.name}-x{latency_scale:g}", device.speed / latency_scale)
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     """Run one pipeline configuration end to end."""
     tracer = Tracer(wall_clock=spec.trace_wall_clock) if spec.trace else NULL_TRACER
     video = _make_video(spec)
     client = build_client(spec.system, video, seed=spec.seed, tracer=tracer)
     channel = make_channel(spec.network, np.random.default_rng(spec.seed + 17))
-    device = DEVICES[spec.server_device]
-    if spec.server_latency_scale != 1.0:
-        device = DeviceProfile(
-            f"{device.name}-x{spec.server_latency_scale:g}",
-            device.speed / spec.server_latency_scale,
-        )
     server = EdgeServer(
         SimulatedSegmentationModel(
             "mask_rcnn_r101",
-            device,
+            _server_device(spec.server_device, spec.server_latency_scale),
             np.random.default_rng(spec.seed + 29),
             metrics=tracer.metrics,
         ),
@@ -176,10 +178,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
         if spec.sample_interval_ms is not None
         else None
     )
-    pipeline = Pipeline(
-        video,
-        client,
-        channel,
+    pipeline = MultiClientPipeline(
+        [ClientSession(video, client, channel)],
         server,
         warmup_frames=spec.warmup_frames,
         tracer=tracer,
@@ -191,7 +191,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
         monitor = ResourceMonitor(DEVICE_POWER[spec.power_device], fps=video.fps)
         result = _run_with_monitor(pipeline, monitor, client, channel)
     else:
-        result = pipeline.run()
+        result = pipeline.run()[0]
     return ExperimentOutcome(
         spec=spec,
         result=result,
@@ -202,8 +202,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     )
 
 
-def _run_with_monitor(pipeline: Pipeline, monitor: ResourceMonitor, client, channel):
-    """Run a pipeline while sampling per-frame resource usage."""
+def _run_with_monitor(
+    pipeline: MultiClientPipeline, monitor: ResourceMonitor, client, channel
+) -> RunResult:
+    """Run a one-session pipeline while sampling per-frame resource usage."""
     original_process = client.process_frame
     bytes_before = {"up": 0}
 
@@ -216,14 +218,9 @@ def _run_with_monitor(pipeline: Pipeline, monitor: ResourceMonitor, client, chan
 
     client.process_frame = wrapped
     try:
-        return pipeline.run()
+        return pipeline.run()[0]
     finally:
         client.process_frame = original_process
-
-
-def run_grid(specs: list[ExperimentSpec]) -> list[ExperimentOutcome]:
-    """Run a list of experiment cells sequentially."""
-    return [run_experiment(spec) for spec in specs]
 
 
 # ----------------------------------------------------------------------
@@ -387,12 +384,7 @@ def run_fleet(spec: FleetSpec) -> FleetOutcome:
             )
         sessions.append(ClientSession(video=video, client=client, channel=channel))
 
-    device = DEVICES[spec.server_device]
-    if spec.server_latency_scale != 1.0:
-        device = DeviceProfile(
-            f"{device.name}-x{spec.server_latency_scale:g}",
-            device.speed / spec.server_latency_scale,
-        )
+    device = _server_device(spec.server_device, spec.server_latency_scale)
     servers = [
         EdgeServer(
             SimulatedSegmentationModel(

@@ -12,7 +12,6 @@ from .frame import (
     to_grayscale,
 )
 from .contours import (
-    contour_to_mask,
     fill_contour,
     find_contours,
     largest_contour,
@@ -39,7 +38,6 @@ __all__ = [
     "image_entropy",
     "sobel_gradients",
     "to_grayscale",
-    "contour_to_mask",
     "fill_contour",
     "find_contours",
     "largest_contour",

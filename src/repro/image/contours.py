@@ -21,7 +21,6 @@ __all__ = [
     "find_contours",
     "largest_contour",
     "fill_contour",
-    "contour_to_mask",
     "mask_boundary",
     "resample_contour",
 ]
@@ -151,11 +150,6 @@ def _stamp_points(mask: np.ndarray, points: np.ndarray) -> None:
     )
     rounded = rounded[keep]
     mask[rounded[:, 0], rounded[:, 1]] = True
-
-
-def contour_to_mask(contour: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Alias of :func:`fill_contour` matching the paper's vocabulary."""
-    return fill_contour(contour, shape)
 
 
 def mask_boundary(mask: np.ndarray) -> np.ndarray:

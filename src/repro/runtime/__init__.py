@@ -2,7 +2,7 @@
 resource/power models."""
 
 from .interface import ClientFrameOutput, ClientSystem, OffloadRequest
-from .pipeline import EdgeServer, FrameMetric, Pipeline, RunResult
+from .pipeline import EdgeServer, FrameMetric, RunResult
 from .multi import ClientSession, MultiClientPipeline
 from .resources import (
     DEVICE_POWER,
@@ -19,7 +19,6 @@ __all__ = [
     "ClientSession",
     "MultiClientPipeline",
     "FrameMetric",
-    "Pipeline",
     "RunResult",
     "DEVICE_POWER",
     "DevicePowerProfile",

@@ -1,9 +1,9 @@
 """Client-system interface for the mobile/edge pipeline.
 
 Every compared system (edgeIS, EAAR, EdgeDuet, best-effort, mobile-only)
-implements :class:`ClientSystem`; the :class:`~repro.runtime.pipeline.Pipeline`
-owns the clock, the channel, and the edge server, and drives the client
-frame by frame.
+implements :class:`ClientSystem`; the
+:class:`~repro.runtime.multi.MultiClientPipeline` owns the clock, the
+channels, and the edge backend, and drives each client frame by frame.
 """
 
 from __future__ import annotations
@@ -78,4 +78,14 @@ class ClientSystem(Protocol):
         """The serving layer dropped this offload (admission reject or
         deadline shed) — release any in-flight accounting and carry on
         rendering from local state.  No result will arrive."""
+        ...
+
+    def set_offload_enabled(self, enabled: bool) -> None:
+        """Degrade/recover hook from the serving layer: while disabled the
+        client renders from local state without offloading."""
+        ...
+
+    def request_keyframe(self) -> None:
+        """One-shot request that the next offload be a full-quality
+        keyframe, so the edge can re-anchor the client's state."""
         ...

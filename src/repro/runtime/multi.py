@@ -1,8 +1,9 @@
-"""Multi-client pipeline: several devices sharing edge inference.
+"""The mobile/edge pipeline: N devices frame-locked against edge inference.
 
 The paper's field deployment connects *eight* mobile devices to a single
-Jetson AGX Xavier (Section VI-G).  :class:`MultiClientPipeline` interleaves
-any number of (video, client, channel) sessions against either
+Jetson AGX Xavier (Section VI-G); a single-device experiment is the same
+topology with one session.  :class:`MultiClientPipeline` interleaves any
+number of (video, client, channel) sessions against either
 
 * one bare :class:`~repro.runtime.pipeline.EdgeServer` — the paper's
   deployment topology: a single-inference-at-a-time FIFO queue, unbounded
@@ -12,9 +13,20 @@ any number of (video, client, channel) sessions against either
   deadline-checked admission, shedding, and MAMT-fallback degradation
   (see ``docs/serving.md``).
 
-Either way the pipeline owns the frame clock and the channels; the
-scheduler path routes every offload through admission and hands back
-completions/sheds at each tick.
+Timeline per frame tick (camera at ``fps``), for every session in turn:
+
+1. pending edge results whose downlink completed are delivered;
+2. if the client is free, it processes the frame (tracker / VO / local
+   model), yielding display masks, a compute time, and possibly an offload;
+   if it is still busy with an earlier frame, the *previous* display masks
+   are re-rendered (that is the paper's "latency accumulates and results in
+   a delayed mask rendering");
+3. an offload is encoded, shipped over the channel, queued on the edge,
+   run through the simulated model and shipped back.
+
+Per-frame metrics record the IoU of whatever was on screen against the
+frame's ground truth — the exact quantity behind every accuracy figure in
+the paper's evaluation.
 """
 
 from __future__ import annotations
@@ -27,17 +39,30 @@ from ..network.channel import Channel
 from ..obs.trace import NULL_TRACER, RequestContext, Tracer
 from ..synthetic.world import SyntheticVideo
 from .interface import ClientSystem
-from .pipeline import (
-    RESULT_HEADER_BYTES,
-    EdgeServer,
-    FrameMetric,
-    PipelineMetrics,
-    RunResult,
-    _channel_transfer_attrs,
-    _PendingDelivery,
-)
+from .pipeline import FrameMetric, RunResult
 
 __all__ = ["ClientSession", "MultiClientPipeline"]
+
+RESULT_HEADER_BYTES = 200  # transport/container overhead per result
+
+
+def _channel_transfer_attrs(channel: Channel) -> dict:
+    """Span attrs describing the channel's most recent transfer: the
+    stall the partition window added (when any) and the carrying link
+    (only when a scheduled handoff moved it off the base profile)."""
+    attrs = {}
+    if channel.last_stall_ms > 0.0:
+        attrs["stall_ms"] = round(channel.last_stall_ms, 6)
+    if channel.last_link != channel.profile.name:
+        attrs["link"] = channel.last_link
+    return attrs
+
+
+@dataclass
+class _PendingDelivery:
+    arrive_ms: float
+    frame_index: int
+    masks: list[InstanceMask]
 
 
 @dataclass
@@ -53,7 +78,7 @@ class ClientSession:
     pending: list[_PendingDelivery] = field(default_factory=list)
     metrics: list[FrameMetric] = field(default_factory=list)
     offload_count: int = 0
-    # Trace lane names (set by the pipeline from the session index).
+    # Trace lane names (numbered by the pipeline when it has >1 session).
     client_lane: str = "client"
     channel_lane: str = "channel"
 
@@ -86,15 +111,24 @@ class MultiClientPipeline:
                 "mixed-fps fleet would mis-time every session but the first"
             )
         self.sessions = sessions
-        # ``server`` is either a bare EdgeServer (legacy FIFO topology)
-        # or a repro.serve FleetScheduler (duck-typed: anything with
+        # ``server`` is either a bare EdgeServer (the paper's FIFO
+        # topology) or a repro.serve FleetScheduler (anything with
         # submit/advance/stats is treated as a scheduler).
         self.scheduler = server if hasattr(server, "advance") else None
         self.server = None if self.scheduler is not None else server
         self.warmup_frames = warmup_frames
+        # Ground-truth slivers below this pixel count are not measured —
+        # video-segmentation datasets do not annotate barely-visible
+        # occlusion remnants either.
         self.min_gt_area = min_gt_area
-        # Per-frame display deadline; None = one frame interval.
-        self.deadline_budget_ms = deadline_budget_ms
+        self._frame_interval = 1000.0 / sessions[0].video.fps
+        # Per-frame display deadline; None = one frame interval (the
+        # paper's 30 fps real-time budget at the default frame rate).
+        self._deadline_ms = (
+            deadline_budget_ms
+            if deadline_budget_ms is not None
+            else self._frame_interval
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         backend = self.scheduler if self.scheduler is not None else self.server
         if self.tracer.enabled and not backend.tracer.enabled:
@@ -117,17 +151,24 @@ class MultiClientPipeline:
         # The scheduler's per-tenant meter (downlink bytes are only
         # known here, after the result is encoded for delivery).
         self._meter = getattr(self.scheduler, "meter", None)
-        # Same instrument names as the single-client pipeline, by
-        # construction (one shared registration helper).
-        self.pm = PipelineMetrics.register(self.tracer.metrics)
+        metrics = self.tracer.metrics
+        self._m_frames = metrics.counter("pipeline.frames")
+        self._m_deadline_miss = metrics.counter("pipeline.deadline_miss")
+        self._h_frame_latency = metrics.histogram("pipeline.frame_latency_ms")
+        # Live gauges the timeline sampler snapshots: an EWMA of display
+        # latency and the number of results still in flight.
+        self._g_latency_ewma = metrics.gauge("pipeline.frame_latency_ewma_ms")
+        self._g_pending = metrics.gauge("pipeline.pending_deliveries")
         self._latency_ewma: float | None = None
-        # One client+channel lane pair per device, one shared server lane.
+        # One client+channel lane pair per device, one shared server lane;
+        # a lone device keeps the plain ``client``/``channel`` names.
+        numbered = len(self.sessions) > 1
         for index, session in enumerate(self.sessions):
-            session.client_lane = f"client{index}"
-            session.channel_lane = f"channel{index}"
+            suffix = str(index) if numbered else ""
+            session.client_lane = f"client{suffix}"
+            session.channel_lane = f"channel{suffix}"
         # Last offload-mode pushed to each client (scheduler path only).
         self._offload_enabled = [True] * len(self.sessions)
-        self._frame_interval = 1000.0 / self.sessions[0].video.fps
 
     @property
     def _server_busy_ms(self) -> float:
@@ -137,10 +178,9 @@ class MultiClientPipeline:
 
     def run(self) -> list[RunResult]:
         num_frames = len(self.sessions[0].video)
-        frame_interval = self._frame_interval
 
         for frame_index in range(num_frames):
-            now = frame_index * frame_interval
+            now = frame_index * self._frame_interval
             self.tracer.set_now(now)
             if self.chaos is not None:
                 self.chaos.tick(now)
@@ -149,16 +189,14 @@ class MultiClientPipeline:
             if self.scheduler is not None:
                 self._service_scheduler(now)
             for session_index, session in enumerate(self.sessions):
-                self._step_session(
-                    session, session_index, frame_index, now, frame_interval
-                )
-            self.pm.pending.set(
+                self._step_session(session, session_index, frame_index, now)
+            self._g_pending.set(
                 sum(len(session.pending) for session in self.sessions)
             )
             if self.sampler is not None:
                 self.sampler.tick(now)
 
-        duration = num_frames * frame_interval
+        duration = num_frames * self._frame_interval
         return [
             RunResult(
                 system=session.client.name,
@@ -184,9 +222,7 @@ class MultiClientPipeline:
         for outcome in self.scheduler.advance(now):
             session = self.sessions[outcome.item.session_index]
             if outcome.kind == "shed":
-                self._notify_offload_failed(
-                    session, outcome.item.frame_index, now
-                )
+                session.client.offload_rejected(outcome.item.frame_index, now)
                 continue
             result_bytes = encoded_size_bytes(outcome.masks) + RESULT_HEADER_BYTES
             if self._meter is not None and outcome.item.tenant is not None:
@@ -221,25 +257,12 @@ class MultiClientPipeline:
             enabled = not self.scheduler.is_degraded(index)
             if enabled != self._offload_enabled[index]:
                 self._offload_enabled[index] = enabled
-                setter = getattr(session.client, "set_offload_enabled", None)
-                if setter is not None:
-                    setter(enabled)
+                session.client.set_offload_enabled(enabled)
             if enabled and self.scheduler.take_keyframe_request(index):
-                keyframe = getattr(session.client, "request_keyframe", None)
-                if keyframe is not None:
-                    keyframe()
-
-    def _notify_offload_failed(self, session, frame_index: int, now: float) -> None:
-        """Tell a client its offload died (rejected or shed) so it frees
-        the in-flight slot and keeps rendering through MAMT."""
-        rejected = getattr(session.client, "offload_rejected", None)
-        if rejected is not None:
-            rejected(frame_index, now)
+                session.client.request_keyframe()
 
     # ------------------------------------------------------------------
-    def _step_session(
-        self, session, session_index, frame_index, now, frame_interval
-    ) -> None:
+    def _step_session(self, session, session_index, frame_index, now) -> None:
         frame, truth = session.video.frame_at(frame_index)
         tracer = self.tracer
 
@@ -303,7 +326,7 @@ class MultiClientPipeline:
                     now,
                 )
         else:
-            latency = (session.busy_until_ms - now) + frame_interval
+            latency = (session.busy_until_ms - now) + self._frame_interval
             processed = False
             tracer.add_span(
                 "client.stale_wait",
@@ -315,20 +338,18 @@ class MultiClientPipeline:
                 busy_until_ms=round(session.busy_until_ms, 6),
             )
 
-        deadline_ms = (
-            self.deadline_budget_ms
-            if self.deadline_budget_ms is not None
-            else frame_interval
-        )
-        self.pm.frames.inc()
-        self.pm.frame_latency.observe(latency)
+        # A displayed frame later than one budget behind capture is a
+        # first-class miss event.
+        deadline_ms = self._deadline_ms
+        self._m_frames.inc()
+        self._h_frame_latency.observe(latency)
         if self._latency_ewma is None:
             self._latency_ewma = latency
         else:
             self._latency_ewma += 0.2 * (latency - self._latency_ewma)
-        self.pm.latency_ewma.set(self._latency_ewma)
+        self._g_latency_ewma.set(self._latency_ewma)
         if latency > deadline_ms:
-            self.pm.deadline_miss.inc()
+            self._m_deadline_miss.inc()
             if tracer.enabled:
                 tracer.event(
                     "frame.deadline_miss",
@@ -403,11 +424,6 @@ class MultiClientPipeline:
             )
 
         if self.scheduler is not None:
-            budget_ms = (
-                self.deadline_budget_ms
-                if self.deadline_budget_ms is not None
-                else self._frame_interval
-            )
             admitted, _status = self.scheduler.submit(
                 session_index,
                 request,
@@ -415,11 +431,11 @@ class MultiClientPipeline:
                 frame.shape,
                 send_time_ms,
                 arrive,
-                budget_ms,
+                self._deadline_ms,
                 now,
             )
             if not admitted:
-                self._notify_offload_failed(session, request.frame_index, now)
+                session.client.offload_rejected(request.frame_index, now)
             return
 
         completion, detections = self.server.submit(

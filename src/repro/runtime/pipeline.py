@@ -1,20 +1,9 @@
-"""The mobile/edge pipeline: a per-frame discrete-event simulation.
+"""Building blocks of the mobile/edge pipeline: per-frame metrics, the
+run result, and the edge server.
 
-Timeline per captured frame (camera at ``fps``):
-
-1. pending edge results whose downlink completed are delivered;
-2. if the client is free, it processes the frame (tracker / VO / local
-   model), yielding display masks, a compute time, and possibly an offload;
-   if it is still busy with an earlier frame, the *previous* display masks
-   are re-rendered (that is the paper's "latency accumulates and results in
-   a delayed mask rendering");
-3. an offload is encoded, shipped over the channel, queued on the edge
-   (one inference at a time), run through the simulated model and shipped
-   back.
-
-Per-frame metrics record the IoU of whatever was on screen against the
-frame's ground truth — the exact quantity behind every accuracy figure in
-the paper's evaluation.
+The frame loop that drives them is
+:class:`~repro.runtime.multi.MultiClientPipeline`; a single-device
+experiment is a one-session run of it.
 """
 
 from __future__ import annotations
@@ -23,67 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding.mask_codec import encoded_size_bytes
-from ..image.masks import InstanceMask, mask_iou
+from ..image.masks import InstanceMask
 from ..model.degrade import degrade_mask_to_iou
 from ..model.maskrcnn import SimulatedSegmentationModel
-from ..network.channel import Channel
 from ..obs.trace import NULL_TRACER, RequestContext, Tracer
-from ..synthetic.world import SyntheticVideo
-from .interface import ClientSystem, OffloadRequest
+from .interface import OffloadRequest
 
 __all__ = [
     "FrameMetric",
     "RunResult",
     "EdgeServer",
-    "Pipeline",
-    "PipelineMetrics",
 ]
-
-RESULT_HEADER_BYTES = 200  # transport/container overhead per result
-
-
-@dataclass
-class PipelineMetrics:
-    """The ``pipeline.*`` instruments shared by every pipeline flavor.
-
-    Registered through one helper so the single-client
-    (:class:`Pipeline`) and multi-client
-    (:class:`~repro.runtime.multi.MultiClientPipeline`) paths can never
-    drift on counter/gauge names — dashboards and BENCH counters see one
-    vocabulary regardless of topology.
-    """
-
-    frames: object
-    deadline_miss: object
-    frame_latency: object
-    latency_ewma: object
-    pending: object
-
-    @classmethod
-    def register(cls, metrics) -> "PipelineMetrics":
-        return cls(
-            frames=metrics.counter("pipeline.frames"),
-            deadline_miss=metrics.counter("pipeline.deadline_miss"),
-            frame_latency=metrics.histogram("pipeline.frame_latency_ms"),
-            # Live gauges the timeline sampler snapshots: an EWMA of
-            # display latency and the number of results still in flight.
-            latency_ewma=metrics.gauge("pipeline.frame_latency_ewma_ms"),
-            pending=metrics.gauge("pipeline.pending_deliveries"),
-        )
-
-
-def _channel_transfer_attrs(channel: Channel) -> dict:
-    """Span attrs describing the channel's most recent transfer: the
-    stall the partition window added (when any) and the carrying link
-    (only when a scheduled handoff moved it off the base profile)."""
-    attrs = {}
-    if channel.last_stall_ms > 0.0:
-        attrs["stall_ms"] = round(channel.last_stall_ms, 6)
-    if channel.last_link != channel.profile.name:
-        attrs["link"] = channel.last_link
-    return attrs
-
 
 @dataclass
 class FrameMetric:
@@ -182,13 +121,6 @@ class RunResult:
                 for f in self.frames
             ]
         return payload
-
-
-@dataclass
-class _PendingDelivery:
-    arrive_ms: float
-    frame_index: int
-    masks: list[InstanceMask]
 
 
 class EdgeServer:
@@ -422,247 +354,3 @@ class EdgeServer:
         """True when a request arriving at ``now_ms`` would start at once
         instead of queueing behind an earlier inference."""
         return self.free_at_ms <= now_ms
-
-
-class Pipeline:
-    """Drives one client system over one video through one channel."""
-
-    def __init__(
-        self,
-        video: SyntheticVideo,
-        client: ClientSystem,
-        channel: Channel,
-        server: EdgeServer,
-        warmup_frames: int = 45,
-        min_gt_area: int = 200,
-        tracer: Tracer | None = None,
-        deadline_budget_ms: float | None = None,
-        sampler=None,
-    ):
-        self.video = video
-        self.client = client
-        self.channel = channel
-        self.server = server
-        self.warmup_frames = warmup_frames
-        # Optional repro.obs.timeline.TimelineSampler, ticked once per
-        # frame so gauges/counters become fixed-interval time series.
-        self.sampler = sampler
-        # Ground-truth slivers below this pixel count are not measured —
-        # video-segmentation datasets do not annotate barely-visible
-        # occlusion remnants either.
-        self.min_gt_area = min_gt_area
-        # Per-frame display deadline; None = one frame interval (the
-        # paper's 30 fps real-time budget at the default frame rate).
-        self.deadline_budget_ms = deadline_budget_ms
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled and not server.tracer.enabled:
-            server.attach_tracer(self.tracer)
-        self.pm = PipelineMetrics.register(self.tracer.metrics)
-        self._latency_ewma: float | None = None
-        self._pending_list: list[_PendingDelivery] = []
-
-    _EWMA_ALPHA = 0.2
-
-    def _observe_latency(self, latency: float, pending_count: int) -> None:
-        """Fold one frame's display latency into the live gauges."""
-        if self._latency_ewma is None:
-            self._latency_ewma = latency
-        else:
-            self._latency_ewma += self._EWMA_ALPHA * (latency - self._latency_ewma)
-        self.pm.latency_ewma.set(self._latency_ewma)
-        self.pm.pending.set(pending_count)
-
-    def run(self) -> RunResult:
-        frame_interval = 1000.0 / self.video.fps
-        deadline_ms = (
-            self.deadline_budget_ms
-            if self.deadline_budget_ms is not None
-            else frame_interval
-        )
-        client_busy_until = 0.0
-        last_masks: list[InstanceMask] = []
-        metrics: list[FrameMetric] = []
-        offload_count = 0
-        tracer = self.tracer
-
-        for frame, truth in self.video:
-            now = frame.index * frame_interval
-            tracer.set_now(now)
-
-            # 1. deliver completed edge results.
-            pending = self._pending_list
-            ready = [d for d in pending if d.arrive_ms <= now]
-            pending[:] = [d for d in pending if d.arrive_ms > now]
-            for delivery in sorted(ready, key=lambda d: d.arrive_ms):
-                integration_ms = self.client.receive_result(
-                    delivery.frame_index, delivery.masks, now
-                )
-                integration_start = max(client_busy_until, now)
-                client_busy_until = integration_start + integration_ms
-                if tracer.enabled:
-                    delivery_ctx = RequestContext(0, delivery.frame_index)
-                    tracer.event(
-                        "client.result_delivered",
-                        lane="client",
-                        frame=delivery.frame_index,
-                        ctx=delivery_ctx,
-                        arrive_ms=round(delivery.arrive_ms, 6),
-                        num_masks=len(delivery.masks),
-                    )
-                    tracer.add_span(
-                        "client.integrate",
-                        lane="client",
-                        frame=delivery.frame_index,
-                        start_ms=integration_start,
-                        dur_ms=integration_ms,
-                        ctx=delivery_ctx,
-                    )
-
-            # 2. client turn.
-            offloaded = False
-            frame_ctx = RequestContext(0, frame.index)
-            if client_busy_until <= now:
-                with tracer.span(
-                    "client.process",
-                    lane="client",
-                    frame=frame.index,
-                    start_ms=now,
-                    ctx=frame_ctx,
-                ) as span:
-                    output = self.client.process_frame(frame, truth, now)
-                    span.dur_ms = output.compute_ms
-                client_busy_until = now + output.compute_ms
-                last_masks = output.masks
-                latency = output.compute_ms
-                processed = True
-                if output.offload is not None:
-                    offloaded = True
-                    offload_count += 1
-                    self._dispatch(output.offload, now + output.compute_ms)
-            else:
-                latency = (client_busy_until - now) + frame_interval
-                processed = False
-                tracer.add_span(
-                    "client.stale_wait",
-                    lane="client",
-                    frame=frame.index,
-                    start_ms=now,
-                    dur_ms=latency,
-                    ctx=frame_ctx,
-                    busy_until_ms=round(client_busy_until, 6),
-                )
-
-            # 3. deadline accounting: a displayed frame later than one
-            # budget behind capture is a first-class miss event.
-            self.pm.frames.inc()
-            self.pm.frame_latency.observe(latency)
-            self._observe_latency(latency, len(self._pending_list))
-            if latency > deadline_ms:
-                self.pm.deadline_miss.inc()
-                if tracer.enabled:
-                    tracer.event(
-                        "frame.deadline_miss",
-                        lane="client",
-                        frame=frame.index,
-                        ctx=frame_ctx,
-                        latency_ms=round(latency, 6),
-                        budget_ms=round(deadline_ms, 6),
-                        over_ms=round(latency - deadline_ms, 6),
-                        processed=processed,
-                    )
-
-            # 4. measure what is on screen against this frame's truth.
-            rendered = {m.instance_id: m for m in last_masks}
-            object_ious = {}
-            object_areas = {}
-            for gt in truth.masks:
-                if gt.area < self.min_gt_area:
-                    continue
-                prediction = rendered.get(gt.instance_id)
-                object_ious[gt.instance_id] = (
-                    mask_iou(prediction.mask, gt.mask) if prediction is not None else 0.0
-                )
-                object_areas[gt.instance_id] = gt.area
-            metrics.append(
-                FrameMetric(
-                    frame_index=frame.index,
-                    object_ious=object_ious,
-                    object_areas=object_areas,
-                    latency_ms=latency,
-                    client_processed=processed,
-                    offloaded=offloaded,
-                    num_rendered=len(last_masks),
-                )
-            )
-            if self.sampler is not None:
-                self.sampler.tick(now)
-
-        # Flush deliveries for bookkeeping completeness (not measured).
-        duration = len(self.video) * frame_interval
-        return RunResult(
-            system=self.client.name,
-            frames=metrics,
-            warmup_frames=self.warmup_frames,
-            offload_count=offload_count,
-            bytes_up=self.channel.bytes_up,
-            bytes_down=self.channel.bytes_down,
-            server_busy_ms=self.server.busy_ms_total,
-            duration_ms=duration,
-        )
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, request: OffloadRequest, send_time_ms: float) -> None:
-        frame, truth = self.video.frame_at(request.frame_index)
-        tracer = self.tracer
-        ctx = RequestContext(0, request.frame_index)
-        if tracer.enabled:
-            tracer.event(
-                "offload.dispatch",
-                lane="channel",
-                ts_ms=send_time_ms,
-                frame=request.frame_index,
-                ctx=ctx,
-                reason=request.reason,
-                payload_bytes=int(request.payload_bytes),
-                encode_ms=round(request.encode_ms, 6),
-            )
-        uplink = self.channel.uplink_ms(
-            request.payload_bytes, now_ms=send_time_ms + request.encode_ms
-        )
-        arrive = send_time_ms + request.encode_ms + uplink
-        if tracer.enabled:
-            tracer.add_span(
-                "channel.uplink",
-                lane="channel",
-                frame=request.frame_index,
-                start_ms=send_time_ms + request.encode_ms,
-                dur_ms=uplink,
-                ctx=ctx,
-                payload_bytes=int(request.payload_bytes),
-                server_free_on_arrival=self.server.is_free_at(arrive),
-                **_channel_transfer_attrs(self.channel),
-            )
-        completion, detections = self.server.submit(
-            request, truth.masks, frame.shape, arrive, ctx=ctx
-        )
-        result_bytes = encoded_size_bytes(detections) + RESULT_HEADER_BYTES
-        downlink = self.channel.downlink_ms(result_bytes, now_ms=completion)
-        if tracer.enabled:
-            tracer.add_span(
-                "channel.downlink",
-                lane="channel",
-                frame=request.frame_index,
-                start_ms=completion,
-                dur_ms=downlink,
-                ctx=ctx,
-                payload_bytes=int(result_bytes),
-                num_masks=len(detections),
-                **_channel_transfer_attrs(self.channel),
-            )
-        self._deliver(request.frame_index, detections, completion + downlink)
-
-    def _deliver(self, frame_index: int, masks: list[InstanceMask], at_ms: float) -> None:
-        # Bound method split out so tests can intercept deliveries.
-        self._pending_list.append(
-            _PendingDelivery(arrive_ms=at_ms, frame_index=frame_index, masks=masks)
-        )

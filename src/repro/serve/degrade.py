@@ -16,8 +16,8 @@ States per session::
 
 The manager is pure bookkeeping — it never touches clients or servers
 directly; the pipeline reads its verdicts and flips the client's offload
-mode through the optional ``set_offload_enabled`` / ``request_keyframe``
-client capabilities.
+mode through the ``set_offload_enabled`` / ``request_keyframe`` methods
+of the :class:`~repro.runtime.interface.ClientSystem` protocol.
 """
 
 from __future__ import annotations

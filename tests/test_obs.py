@@ -323,7 +323,9 @@ class TestExporters:
 
 
 class TestMultiClientTracing:
-    def test_lanes_per_session(self):
+    @staticmethod
+    def _run_sessions(count: int) -> set[str]:
+        """Trace ``count`` edgeIS sessions on one bare server; the lanes."""
         from repro.eval import build_client
         from repro.model import SimulatedSegmentationModel
         from repro.network import make_channel
@@ -332,7 +334,7 @@ class TestMultiClientTracing:
 
         tracer = Tracer()
         sessions = []
-        for index in range(2):
+        for index in range(count):
             video = make_dataset(
                 "davis_like", num_frames=40, resolution=(160, 120), seed=index
             )
@@ -349,10 +351,18 @@ class TestMultiClientTracing:
         results = MultiClientPipeline(
             sessions, server, warmup_frames=5, tracer=tracer
         ).run()
-        assert len(results) == 2
-        lanes = set(tracer.lanes())
+        assert len(results) == count
+        return set(tracer.lanes())
+
+    def test_lanes_per_session(self):
+        lanes = self._run_sessions(2)
         assert {"client0", "client1"} <= lanes
         assert "server" in lanes  # shared lane wired via attach_tracer
+
+    def test_single_session_keeps_plain_lanes(self):
+        # A one-device run is the single-client experiment: its lanes are
+        # the unnumbered ones trace exports and dashboards key on.
+        assert self._run_sessions(1) == {"client", "channel", "server"}
 
 
 class TestHistogramPercentile:
@@ -538,7 +548,7 @@ class TestPipelineDeadlineEvents:
         from repro.eval import build_client
         from repro.model import SimulatedSegmentationModel
         from repro.network import make_channel
-        from repro.runtime import EdgeServer, Pipeline
+        from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
         from repro.synthetic import make_dataset
 
         video = make_dataset(
@@ -550,10 +560,9 @@ class TestPipelineDeadlineEvents:
             SimulatedSegmentationModel(rng=np.random.default_rng(7)),
             tracer=tracer,
         )
-        pipeline = Pipeline(
-            video,
-            client,
-            make_channel("wifi_5ghz", np.random.default_rng(1)),
+        channel = make_channel("wifi_5ghz", np.random.default_rng(1))
+        pipeline = MultiClientPipeline(
+            [ClientSession(video, client, channel)],
             server,
             warmup_frames=5,
             tracer=tracer,

@@ -3,16 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.eval import ExperimentSpec, build_client, run_experiment
+from repro.eval import (
+    ABLATION_NAMES,
+    SYSTEM_NAMES,
+    ExperimentSpec,
+    build_client,
+    run_experiment,
+)
 from repro.image import InstanceMask
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
 from repro.runtime import (
     DEVICE_POWER,
     ClientFrameOutput,
+    ClientSession,
+    ClientSystem,
     EdgeServer,
+    MultiClientPipeline,
     OffloadRequest,
-    Pipeline,
     ResourceMonitor,
 )
 from repro.synthetic import make_dataset
@@ -69,18 +77,20 @@ def make_pipeline(client, frames=60, dataset="xiph_like"):
     server = EdgeServer(
         SimulatedSegmentationModel("mask_rcnn_r101", "jetson_tx2", np.random.default_rng(1))
     )
-    return Pipeline(video, client, channel, server, warmup_frames=10)
+    return MultiClientPipeline(
+        [ClientSession(video, client, channel)], server, warmup_frames=10
+    )
 
 
 class TestPipelineMechanics:
     def test_null_client_scores_zero_iou(self):
-        result = make_pipeline(_NullClient()).run()
+        result = make_pipeline(_NullClient()).run()[0]
         assert result.mean_iou() == 0.0
         assert result.false_rate(0.75) == 1.0
         assert result.offload_count == 0
 
     def test_slow_client_shows_stale_frames(self):
-        result = make_pipeline(_SlowClient()).run()
+        result = make_pipeline(_SlowClient()).run()[0]
         processed = [f for f in result.frames if f.client_processed]
         stale = [f for f in result.frames if not f.client_processed]
         # 100 ms compute at 33 ms frames: roughly 1 in 3 processed.
@@ -90,7 +100,7 @@ class TestPipelineMechanics:
 
     def test_offload_round_trip(self):
         client = _OffloadOnceClient()
-        result = make_pipeline(client).run()
+        result = make_pipeline(client).run()[0]
         assert result.offload_count == 1
         assert len(client.received) == 1
         frame_index, num_masks, at_ms = client.received[0]
@@ -113,12 +123,12 @@ class TestPipelineMechanics:
         assert done2 >= done1 * 2 * 0.8  # second waits for the first
 
     def test_warmup_excluded_from_aggregates(self):
-        result = make_pipeline(_NullClient(), frames=20).run()
+        result = make_pipeline(_NullClient(), frames=20).run()[0]
         measured = result._measured()
         assert all(f.frame_index >= 10 for f in measured)
 
     def test_run_result_cdf(self):
-        result = make_pipeline(_NullClient(), frames=30).run()
+        result = make_pipeline(_NullClient(), frames=30).run()[0]
         grid, cdf = result.iou_cdf()
         assert cdf[-1] == 1.0  # all IoUs <= 1
         assert (np.diff(cdf) >= 0).all()
@@ -157,14 +167,13 @@ class TestResourceMonitor:
 
 
 class TestBuildClient:
-    @pytest.mark.parametrize(
-        "name",
-        ["edgeis", "eaar", "edgeduet", "edge_best_effort", "mobile_only", "baseline+mamt"],
-    )
+    @pytest.mark.parametrize("name", list(dict.fromkeys(SYSTEM_NAMES + ABLATION_NAMES)))
     def test_factory(self, name):
         video = make_dataset("davis_like", num_frames=1, resolution=(160, 120))
         client = build_client(name, video)
-        assert hasattr(client, "process_frame")
+        # The pipeline calls the serving-layer hooks directly, so every
+        # built client must carry the whole ClientSystem surface.
+        assert isinstance(client, ClientSystem)
 
     def test_unknown_raises(self):
         video = make_dataset("davis_like", num_frames=1, resolution=(160, 120))
@@ -184,7 +193,7 @@ class TestRunResultSerialization:
     def test_to_dict_roundtrips_through_json(self):
         import json
 
-        result = make_pipeline(_NullClient(), frames=15).run()
+        result = make_pipeline(_NullClient(), frames=15).run()[0]
         payload = result.to_dict(include_frames=True)
         restored = json.loads(json.dumps(payload))
         assert restored["system"] == "null"
@@ -193,11 +202,11 @@ class TestRunResultSerialization:
         assert 0.0 <= restored["mean_iou"] <= 1.0
 
     def test_summary_only_by_default(self):
-        result = make_pipeline(_NullClient(), frames=10).run()
+        result = make_pipeline(_NullClient(), frames=10).run()[0]
         assert "frames" not in result.to_dict()
 
     def test_to_dict_frame_entries_match_metrics(self):
-        result = make_pipeline(_OffloadOnceClient(), frames=20).run()
+        result = make_pipeline(_OffloadOnceClient(), frames=20).run()[0]
         payload = result.to_dict(include_frames=True)
         assert len(payload["frames"]) == len(result.frames)
         for entry, metric in zip(payload["frames"], result.frames):
@@ -213,7 +222,7 @@ class TestRunResultSerialization:
 
 class TestRunResultAggregates:
     def test_iou_cdf_custom_grid(self):
-        result = make_pipeline(_NullClient(), frames=20).run()
+        result = make_pipeline(_NullClient(), frames=20).run()[0]
         grid = np.array([0.0, 0.5, 1.0])
         out_grid, cdf = result.iou_cdf(grid)
         assert out_grid is grid
@@ -221,16 +230,16 @@ class TestRunResultAggregates:
         assert cdf.tolist() == [1.0, 1.0, 1.0]
 
     def test_iou_cdf_empty_measured_set(self):
-        result = make_pipeline(_NullClient(), frames=20).run()
+        result = make_pipeline(_NullClient(), frames=20).run()[0]
         result.frames = [f for f in result.frames if False]
         grid, cdf = result.iou_cdf()
         assert (cdf == 0.0).all()
         assert len(grid) == len(cdf)
 
     def test_server_utilization_bounds(self):
-        idle = make_pipeline(_NullClient(), frames=20).run()
+        idle = make_pipeline(_NullClient(), frames=20).run()[0]
         assert idle.server_utilization() == 0.0
-        busy = make_pipeline(_OffloadOnceClient(), frames=20).run()
+        busy = make_pipeline(_OffloadOnceClient(), frames=20).run()[0]
         assert 0.0 < busy.server_utilization() <= 1.0
         # One ~400 ms inference inside a ~660 ms run.
         assert busy.server_utilization() == pytest.approx(
@@ -257,7 +266,8 @@ class TestEdgeServerAvailability:
 class TestPipelineState:
     def test_pending_list_initialized_in_init(self):
         pipeline = make_pipeline(_NullClient(), frames=5)
+        session = pipeline.sessions[0]
         # No lazy hasattr-guarded creation: the queue exists before run().
-        assert pipeline._pending_list == []
+        assert session.pending == []
         pipeline.run()
-        assert pipeline._pending_list == []  # drained by the end of the run
+        assert session.pending == []  # drained by the end of the run

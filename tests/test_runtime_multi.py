@@ -6,7 +6,7 @@ import pytest
 from repro.eval.experiments import ExperimentSpec, _make_video, build_client
 from repro.model import SimulatedSegmentationModel
 from repro.network import make_channel
-from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline, Pipeline
+from repro.runtime import ClientSession, EdgeServer, MultiClientPipeline
 
 
 def make_sessions(count, system="edge_best_effort", frames=40, resolution=(160, 120)):
@@ -55,29 +55,6 @@ class TestMultiClientPipeline:
         for result in results:
             assert len(result.frames) == 40
             assert result.offload_count >= 1
-
-    def test_single_session_matches_pipeline_shape(self):
-        # One session through the multi pipeline behaves like Pipeline.
-        sessions = make_sessions(1, frames=40)
-        multi_result = MultiClientPipeline(
-            sessions, make_server(), warmup_frames=10
-        ).run()[0]
-
-        spec = ExperimentSpec(
-            system="edge_best_effort",
-            dataset="xiph_like",
-            num_frames=40,
-            resolution=(160, 120),
-            seed=0,
-        )
-        video = _make_video(spec)
-        client = build_client("edge_best_effort", video, seed=0)
-        channel = make_channel("wifi_5ghz", np.random.default_rng(0))
-        single_result = Pipeline(
-            video, client, channel, make_server(), warmup_frames=10
-        ).run()
-        assert multi_result.offload_count == single_result.offload_count
-        assert abs(multi_result.mean_iou() - single_result.mean_iou()) < 0.15
 
     def test_contention_serializes_server(self):
         # Four clients saturate the shared server far more than one.
