@@ -38,7 +38,7 @@ def _sampling_pattern(rng_seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
 
 _PATTERN_A, _PATTERN_B = _sampling_pattern()
 
-# 256-entry popcount table for fast Hamming distance on uint8 lanes.
+# 256-entry popcount table of the uint8-lane reference Hamming distance.
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -85,7 +85,31 @@ class BriefDescriptorExtractor:
 
 
 def hamming_distance(descriptors_a: np.ndarray, descriptors_b: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distance matrix between two (N, 32) uint8 sets."""
+    """All-pairs Hamming distance matrix between two (N, 32) uint8 sets.
+
+    Each descriptor is read as four ``uint64`` lanes; the lanes are XORed
+    pairwise and popcounted one lane at a time into an ``(N, M)`` int32
+    matrix, so no ``(N, M, 32)`` intermediate is built.
+    """
+    lanes_a = _uint64_lanes(descriptors_a)
+    lanes_b = _uint64_lanes(descriptors_b)
+    distances = np.zeros((len(lanes_a), len(lanes_b)), dtype=np.int32)
+    for lane in range(lanes_a.shape[1]):
+        distances += np.bitwise_count(lanes_a[:, lane, None] ^ lanes_b[None, :, lane])
+    return distances
+
+
+def _uint64_lanes(descriptors: np.ndarray) -> np.ndarray:
+    """(N, 32) uint8 descriptors as (N, 4) uint64 lanes (copied only when
+    not already C-contiguous, e.g. a strided row subset)."""
+    return np.ascontiguousarray(np.atleast_2d(descriptors), dtype=np.uint8).view(np.uint64)
+
+
+def _hamming_distance_reference(
+    descriptors_a: np.ndarray, descriptors_b: np.ndarray
+) -> np.ndarray:
+    """Scalar-lane reference for :func:`hamming_distance`: a uint8
+    popcount table over the full (N, M, 32) XOR cube."""
     descriptors_a = np.atleast_2d(descriptors_a)
     descriptors_b = np.atleast_2d(descriptors_b)
     xored = descriptors_a[:, None, :] ^ descriptors_b[None, :, :]

@@ -191,6 +191,11 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
             "transfer.contour_depth", kernel="transfer.contour_depth"
         ),
         KernelBenchScenario("serve.batch_latency", kernel="serve.batch_latency"),
+        KernelBenchScenario("brief.hamming", kernel="brief.hamming"),
+        KernelBenchScenario("matcher.match", kernel="matcher.match"),
+        KernelBenchScenario(
+            "frontend.noisy_descriptor", kernel="frontend.noisy_descriptor"
+        ),
     ),
     "smoke": (
         BenchScenario(

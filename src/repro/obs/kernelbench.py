@@ -282,6 +282,85 @@ def _kernel_transfer_contour_depth(seed: int, repeats: int) -> dict:
     )
 
 
+def _descriptor_sets(rng, num_query: int, num_train: int) -> tuple[np.ndarray, np.ndarray]:
+    """A train set of random 32-byte descriptors and a query set of noisy
+    copies of its rows: a tracking frame's match problem."""
+    train = rng.integers(0, 256, size=(num_train, 32), dtype=np.uint8)
+    flips = np.packbits(rng.random((num_query, 256)) < 0.03, axis=1)
+    query = train[rng.integers(0, num_train, num_query)] ^ flips
+    return query, train
+
+
+def _kernel_brief_hamming(seed: int, repeats: int) -> dict:
+    from ..features.brief import _hamming_distance_reference, hamming_distance
+
+    query, train = _descriptor_sets(np.random.default_rng(seed), 250, 300)
+    vec = hamming_distance(query, train)
+    ref = _hamming_distance_reference(query, train)
+    err = float(np.abs(vec - ref).max())
+    return _cell(
+        "brief.hamming",
+        vec.size,
+        repeats,
+        lambda: hamming_distance(query, train),
+        lambda: _hamming_distance_reference(query, train),
+        err,
+        0.0,
+    )
+
+
+def _kernel_matcher_match(seed: int, repeats: int) -> dict:
+    from ..features.matcher import _match_descriptors_reference, match_descriptors
+
+    query, train = _descriptor_sets(np.random.default_rng(seed), 250, 300)
+    # Both paths call the same Hamming kernel, so the speedup is that of
+    # match selection, diluted by the shared distance matrix.
+    err = float(
+        match_descriptors(query, train) != _match_descriptors_reference(query, train)
+    )
+    return _cell(
+        "matcher.match",
+        len(query),
+        repeats,
+        lambda: match_descriptors(query, train),
+        lambda: _match_descriptors_reference(query, train),
+        err,
+        0.0,
+    )
+
+
+def _kernel_frontend_noisy_descriptor(seed: int, repeats: int) -> dict:
+    from ..vo.frontend import _noisy_descriptors_reference, noisy_descriptors
+
+    rng = np.random.default_rng(seed)
+    # One oracle frame at the frontend's default cap and flip count.
+    descriptors = rng.integers(0, 256, size=(400, 32), dtype=np.uint8)
+    flip_bits = 6
+
+    # Fresh same-seeded streams make the two paths comparable; equivalence
+    # covers the generator state they leave behind.
+    def run(fn):
+        generator = np.random.default_rng(seed + 1)
+        return fn(descriptors, generator, flip_bits), generator.bit_generator.state
+
+    vec, vec_state = run(noisy_descriptors)
+    ref, ref_state = run(_noisy_descriptors_reference)
+    # A diverged generator state counts as an error of at least one.
+    err = max(
+        float(np.abs(vec.astype(int) - ref.astype(int)).max()),
+        float(vec_state != ref_state),
+    )
+    return _cell(
+        "frontend.noisy_descriptor",
+        len(descriptors),
+        repeats,
+        lambda: run(noisy_descriptors),
+        lambda: run(_noisy_descriptors_reference),
+        err,
+        0.0,
+    )
+
+
 def _kernel_serve_batch_latency(seed: int, repeats: int) -> dict:
     """Deterministic cell: the calibrated batch latency model at the
     fleet's operating point (TX2-scaled fixed cost, the admission
@@ -325,6 +404,9 @@ _KERNELS = {
     "ba.dlt_rows": _kernel_ba_dlt_rows,
     "transfer.contour_depth": _kernel_transfer_contour_depth,
     "serve.batch_latency": _kernel_serve_batch_latency,
+    "brief.hamming": _kernel_brief_hamming,
+    "matcher.match": _kernel_matcher_match,
+    "frontend.noisy_descriptor": _kernel_frontend_noisy_descriptor,
 }
 
 KERNEL_NAMES = tuple(sorted(_KERNELS))

@@ -74,6 +74,10 @@ class World:
         self.objects = objects
         self._by_id = {o.instance_id: o for o in objects if not o.is_background}
         self._sites = self._generate_sites(sites_per_sqm, max_sites_per_object, seed)
+        # Filled lazily by the first site_world_positions call, which keeps
+        # world construction (part of every run's set-up) cheap.
+        self._static_positions: np.ndarray | None = None
+        self._dynamic_site_indices: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _generate_sites(
@@ -118,12 +122,38 @@ class World:
 
     def site_world_positions(self, time: float) -> np.ndarray:
         """World positions of all feature sites at time ``t`` (moving
-        objects carry their sites along)."""
-        poses = [scene_object.pose_wo(time) for scene_object in self.objects]
-        positions = np.zeros((len(self._sites), 3))
-        for i, site in enumerate(self._sites):
-            positions[i] = poses[site.owner_index].transform(site.position_object)
+        objects carry their sites along).
+
+        Sites of static objects are placed once, on the first call, and
+        copied thereafter; only sites of dynamic objects are recomputed.
+        Returns a fresh array the caller may modify.
+        """
+        if self._static_positions is None:
+            dynamic_owner = np.array([o.is_dynamic for o in self.objects], dtype=bool)
+            dynamic = dynamic_owner[[site.owner_index for site in self._sites]]
+            static = np.flatnonzero(~dynamic)
+            self._dynamic_site_indices = np.flatnonzero(dynamic)
+            self._static_positions = np.zeros((len(self._sites), 3))
+            self._static_positions[static] = self._place_sites(static, 0.0)
+        positions = self._static_positions.copy()
+        positions[self._dynamic_site_indices] = self._place_sites(
+            self._dynamic_site_indices, time
+        )
         return positions
+
+    def _place_sites(self, indices: np.ndarray, time: float) -> np.ndarray:
+        """World positions at ``time`` of the sites ``indices``, in order."""
+        poses = [scene_object.pose_wo(time) for scene_object in self.objects]
+        positions = np.zeros((len(indices), 3))
+        for row, index in enumerate(indices):
+            site = self._sites[index]
+            positions[row] = poses[site.owner_index].transform(site.position_object)
+        return positions
+
+    def _site_world_positions_reference(self, time: float) -> np.ndarray:
+        """Every site placed on every call; reference for
+        :meth:`site_world_positions`."""
+        return self._place_sites(np.arange(len(self._sites)), time)
 
     def ground_truth_from_render(self, result: RenderResult) -> GroundTruth:
         masks = [

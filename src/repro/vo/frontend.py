@@ -26,7 +26,7 @@ from ..geometry.camera import PinholeCamera
 from ..image.frame import VideoFrame
 from ..synthetic.world import GroundTruth, World
 
-__all__ = ["Observation", "FastBriefFrontend", "OracleFrontend"]
+__all__ = ["Observation", "FastBriefFrontend", "OracleFrontend", "noisy_descriptors"]
 
 
 @dataclass
@@ -91,13 +91,6 @@ class OracleFrontend:
             self._descriptor_cache[site_id] = cached
         return cached
 
-    def _noisy_descriptor(self, site_id: int) -> np.ndarray:
-        descriptor = self._site_descriptor(site_id).copy()
-        flips = self._rng.integers(0, 256, size=self.descriptor_flip_bits)
-        for flip in flips:
-            descriptor[flip // 8] ^= np.uint8(1 << (flip % 8))
-        return descriptor
-
     def observe(self, frame: VideoFrame, truth: GroundTruth) -> Observation:
         sites = self.world.feature_sites
         positions = self.world.site_world_positions(frame.timestamp)
@@ -128,8 +121,39 @@ class OracleFrontend:
             scale=self.pixel_noise, size=(len(candidate), 2)
         )
         descriptors = (
-            np.stack([self._noisy_descriptor(sites[i].site_id) for i in candidate])
+            np.stack([self._site_descriptor(sites[i].site_id) for i in candidate])
             if len(candidate)
             else np.zeros((0, 32), dtype=np.uint8)
         )
+        descriptors = noisy_descriptors(descriptors, self._rng, self.descriptor_flip_bits)
         return Observation(pixels=noisy_pixels, descriptors=descriptors)
+
+
+def noisy_descriptors(
+    descriptors: np.ndarray, rng: np.random.Generator, flip_bits: int
+) -> np.ndarray:
+    """Copy of (N, 32) uint8 ``descriptors`` with ``flip_bits`` random bit
+    flips per row (a bit drawn twice toggles back).
+
+    One ``(N, flip_bits)`` draw consumes ``rng`` exactly as N row-by-row
+    draws of ``flip_bits`` would: a power-of-two range never rejects, and
+    numpy's default PCG64 generator keeps the unused half of a 64-bit word
+    between calls.
+    """
+    flips = rng.integers(0, 256, size=(len(descriptors), flip_bits)).ravel()
+    rows = np.repeat(np.arange(len(descriptors)), flip_bits)
+    noisy = descriptors.copy()
+    np.bitwise_xor.at(noisy, (rows, flips // 8), (1 << (flips % 8)).astype(np.uint8))
+    return noisy
+
+
+def _noisy_descriptors_reference(
+    descriptors: np.ndarray, rng: np.random.Generator, flip_bits: int
+) -> np.ndarray:
+    """Row-by-row reference for :func:`noisy_descriptors`."""
+    noisy = descriptors.copy()
+    for descriptor in noisy:
+        flips = rng.integers(0, 256, size=flip_bits)
+        for flip in flips:
+            descriptor[flip // 8] ^= np.uint8(1 << (flip % 8))
+    return noisy

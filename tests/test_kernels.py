@@ -5,7 +5,8 @@ These are the correctness contract behind the ``micro`` bench suite
 (:mod:`repro.obs.kernelbench`): the bench gates *speed*, these tests gate
 *equivalence* — over random seeds, degenerate shapes, and the branch
 points of each kernel (empty inputs, dense-vs-sparse paths, clamps).
-Most pairs are bit-identical; the k-NN depth lookup is atol-bounded
+Most pairs are bit-identical, and the RNG-consuming ones also leave the
+generator in the same state; the k-NN depth lookup is atol-bounded
 because ``cKDTree`` and the argsort reference may order exact distance
 ties differently.
 """
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from repro.features.brief import _hamming_distance_reference, hamming_distance
 from repro.features.fast import (
     _max_consecutive_true_reference,
     arc_run_at_least,
 )
+from repro.features.matcher import _match_descriptors_reference, match_descriptors
 from repro.geometry.bundle_adjustment import (
     _dlt_rows,
     _dlt_rows_reference,
@@ -31,10 +34,22 @@ from repro.geometry.triangulation import reprojection_errors_batch
 from repro.model.acceleration import InferenceInstruction
 from repro.model.maskrcnn import SimulatedSegmentationModel
 from repro.model.rpn import _assemble_proposals_reference
+from repro.synthetic import make_dataset
+from repro.synthetic.objects import (
+    LinearMotion,
+    ProceduralTexture,
+    SceneObject,
+    StaticMotion,
+    make_box_mesh,
+)
+from repro.synthetic.world import World
 from repro.transfer.mask_transfer import (
     _contour_depths_reference,
     contour_depths,
 )
+from repro.vo import OracleFrontend
+from repro.vo import frontend as frontend_module
+from repro.vo.frontend import _noisy_descriptors_reference, noisy_descriptors
 
 CAMERA = PinholeCamera(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 CAMERA_MATRIX = np.array(
@@ -312,3 +327,213 @@ class TestContourDepths:
             contour_depths(contour_uv, feature_pixels, depths, 5, tree=tree),
             contour_depths(contour_uv, feature_pixels, depths, 5),
         )
+
+
+def random_descriptors(rng, n):
+    return rng.integers(0, 256, size=(n, 32), dtype=np.uint8)
+
+
+class TestHammingDistance:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape", [(250, 300), (0, 7), (7, 0), (1, 9), (9, 1), (1, 1)])
+    def test_matches_reference(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a = random_descriptors(rng, shape[0])
+        b = random_descriptors(rng, shape[1])
+        vec = hamming_distance(a, b)
+        ref = _hamming_distance_reference(a, b)
+        assert vec.dtype == ref.dtype == np.int32
+        assert vec.shape == ref.shape == shape
+        assert np.array_equal(vec, ref)
+
+    def test_non_contiguous_inputs(self):
+        rng = np.random.default_rng(7)
+        a = random_descriptors(rng, 40)
+        b = random_descriptors(rng, 30)
+        wide = rng.integers(0, 256, size=(20, 64), dtype=np.uint8)
+        for query, train in [
+            (a[::2], b),
+            (a, b[::3]),
+            (a[[5, 1, 1, 38]], b[np.array([29, 0, 4])]),
+            (a[np.arange(40) % 3 == 0], b[::-1]),
+            (wide[:, 16:48], wide[::2, 1:33]),
+        ]:
+            assert np.array_equal(
+                hamming_distance(query, train), _hamming_distance_reference(query, train)
+            )
+
+    def test_single_descriptor_vectors(self):
+        rng = np.random.default_rng(8)
+        a, b = random_descriptors(rng, 2)
+        assert np.array_equal(hamming_distance(a, b), _hamming_distance_reference(a, b))
+        assert hamming_distance(a, b).shape == (1, 1)
+
+
+class TestMatchDescriptors:
+    @staticmethod
+    def noisy_copies(rng, train, n, flip_rate):
+        flips = np.packbits(rng.random((n, 256)) < flip_rate, axis=1)
+        return train[rng.integers(0, len(train), n)] ^ flips
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cross_check", [True, False])
+    def test_matches_reference(self, seed, cross_check):
+        rng = np.random.default_rng(seed)
+        train = random_descriptors(rng, 60)
+        query = self.noisy_copies(rng, train, 80, 0.04)
+        for max_distance in (0, 12, 64, 256):
+            for ratio in (0.6, 0.8, 1.0):
+                vec = match_descriptors(query, train, max_distance, ratio, cross_check)
+                ref = _match_descriptors_reference(
+                    query, train, max_distance, ratio, cross_check
+                )
+                assert vec == ref, (max_distance, ratio)
+        assert vec, "the fixture must produce matches"
+
+    @pytest.mark.parametrize("cross_check", [True, False])
+    def test_single_train_column(self, cross_check):
+        # One train row: no second best, so the ratio test is skipped.
+        rng = np.random.default_rng(3)
+        train = random_descriptors(rng, 1)
+        query = self.noisy_copies(rng, train, 12, 0.05)
+        vec = match_descriptors(query, train, cross_check=cross_check)
+        assert vec == _match_descriptors_reference(query, train, cross_check=cross_check)
+        assert len(vec) == (1 if cross_check else 12)
+
+    @pytest.mark.parametrize("cross_check", [True, False])
+    def test_tied_minima(self, cross_check):
+        # Duplicate train rows tie the best and second best (ratio test
+        # fails unless ratio >= 1) and duplicate query rows tie the
+        # reverse argmin (first index wins the cross check).
+        rng = np.random.default_rng(4)
+        train = random_descriptors(rng, 6)
+        train = np.concatenate([train, train[:3]])
+        query = np.concatenate([train[:5], train[:5]])
+        for ratio in (0.8, 1.0):
+            vec = match_descriptors(query, train, ratio=ratio, cross_check=cross_check)
+            ref = _match_descriptors_reference(
+                query, train, ratio=ratio, cross_check=cross_check
+            )
+            assert vec == ref
+        assert vec, "ratio 1.0 must keep the tied rows"
+
+    def test_distance_equal_to_max_distance_is_kept(self):
+        train = np.zeros((2, 32), dtype=np.uint8)
+        train[1] = 0xFF
+        query = np.zeros((1, 32), dtype=np.uint8)
+        query[0, :2] = 0xFF  # 16 bits from train[0], 240 from train[1]
+        for fn in (match_descriptors, _match_descriptors_reference):
+            kept = fn(query, train, max_distance=16)
+            assert [(m.query_index, m.train_index, m.distance) for m in kept] == [(0, 0, 16.0)]
+            assert fn(query, train, max_distance=15) == []
+
+    def test_calls_hamming_once_through_module_name(self, monkeypatch):
+        from repro.features import matcher
+
+        calls = []
+
+        def counting(a, b):
+            calls.append((len(a), len(b)))
+            return hamming_distance(a, b)
+
+        monkeypatch.setattr(matcher, "hamming_distance", counting)
+        rng = np.random.default_rng(5)
+        match_descriptors(random_descriptors(rng, 8), random_descriptors(rng, 9))
+        assert calls == [(8, 9)]
+
+
+class TestNoisyDescriptors:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("flip_bits", [0, 1, 5, 6])
+    @pytest.mark.parametrize("rows", [0, 1, 37])
+    def test_stream_identical_to_reference(self, seed, flip_bits, rows):
+        descriptors = random_descriptors(np.random.default_rng(seed), rows)
+        vec_rng = np.random.default_rng(seed + 100)
+        ref_rng = np.random.default_rng(seed + 100)
+        # Start from a half-used 64-bit word, as mid-frame streams do.
+        vec_rng.integers(0, 256, size=3)
+        ref_rng.integers(0, 256, size=3)
+        vec = noisy_descriptors(descriptors, vec_rng, flip_bits)
+        ref = _noisy_descriptors_reference(descriptors, ref_rng, flip_bits)
+        assert vec.dtype == np.uint8 and vec.shape == descriptors.shape
+        assert np.array_equal(vec, ref)
+        assert vec_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_repeated_flip_toggles_back(self):
+        class Fixed:
+            def integers(self, low, high, size):
+                return np.full(size, 9)
+
+        # Bit 9 is bit 1 of byte 1: odd repeat counts set it, even clear it.
+        descriptors = np.zeros((2, 32), dtype=np.uint8)
+        for flip_bits, byte_value in [(1, 2), (2, 0), (3, 2)]:
+            expected = descriptors.copy()
+            expected[:, 1] = byte_value
+            for fn in (noisy_descriptors, _noisy_descriptors_reference):
+                assert np.array_equal(fn(descriptors, Fixed(), flip_bits), expected)
+
+    def test_input_untouched(self):
+        descriptors = random_descriptors(np.random.default_rng(1), 4)
+        before = descriptors.copy()
+        noisy_descriptors(descriptors, np.random.default_rng(2), 6)
+        assert np.array_equal(descriptors, before)
+
+    def test_oracle_frame_identical_to_reference(self, monkeypatch):
+        video = make_dataset("davis_like", num_frames=3, resolution=(160, 120))
+        frames = [video.frame_at(i) for i in range(3)]
+
+        def observe_all():
+            frontend = OracleFrontend(video.world, video.camera, seed=11)
+            observations = [frontend.observe(frame, truth) for frame, truth in frames]
+            return observations, frontend._rng.bit_generator.state
+
+        vec, vec_state = observe_all()
+        monkeypatch.setattr(frontend_module, "noisy_descriptors", _noisy_descriptors_reference)
+        ref, ref_state = observe_all()
+        assert vec_state == ref_state
+        for a, b in zip(vec, ref):
+            assert len(a) > 0
+            assert np.array_equal(a.descriptors, b.descriptors)
+            assert np.array_equal(a.pixels, b.pixels)
+
+
+class TestSiteWorldPositions:
+    @staticmethod
+    def world():
+        texture = ProceduralTexture((100, 100, 100), 0)
+        parked = SceneObject(
+            1, "car", make_box_mesh((1, 1, 1)), texture,
+            StaticMotion(SE3(np.eye(3), [2.0, 0.0, 6.0])),
+        )
+        mover = SceneObject(
+            2, "car", make_box_mesh((1, 1, 1)), texture,
+            LinearMotion(
+                SE3(np.eye(3), [0.0, 0.0, 5.0]),
+                velocity=[1.0, 0.0, 0.0],
+                angular_velocity=[0.0, 0.3, 0.0],
+            ),
+        )
+        return World([parked, mover])
+
+    @pytest.mark.parametrize("time", [0.0, 2.0])
+    def test_cached_equals_per_site(self, time):
+        world = self.world()
+        for _ in range(2):  # first call fills the cache, second reads it
+            vec = world.site_world_positions(time)
+            assert vec.tobytes() == world._site_world_positions_reference(time).tobytes()
+
+    @pytest.mark.parametrize("name", ["davis_like", "xiph_like"])
+    def test_dataset_worlds(self, name):
+        world = make_dataset(name, num_frames=2, resolution=(160, 120)).world
+        for time in (0.0, 2.0, 0.5):
+            vec = world.site_world_positions(time)
+            assert vec.tobytes() == world._site_world_positions_reference(time).tobytes()
+
+    def test_returned_array_is_fresh(self):
+        world = self.world()
+        first = world.site_world_positions(0.0)
+        first[:] = np.nan
+        again = world.site_world_positions(2.0)
+        assert np.isfinite(again).all()
+        assert again.tobytes() == world._site_world_positions_reference(2.0).tobytes()
+        assert again is not world.site_world_positions(2.0)
