@@ -12,7 +12,9 @@ trace into a machine-readable ``BENCH_<suite>_<label>.json`` containing:
 * the frame-deadline SLO report (:mod:`repro.obs.slo`): miss rate,
   worst streak, per-stage budget attribution;
 * offload/bandwidth counters (CFRS decisions, server requests, bytes);
-* an environment fingerprint.
+* an environment fingerprint;
+* for a suite with claims (:data:`CLAIMS`), one ``certification``
+  section with a PASS/FAIL entry per check.
 
 Because the pipeline runs on a simulated clock, a suite is fully
 deterministic: two runs on the same machine produce **byte-identical**
@@ -32,6 +34,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "ChaosBenchScenario",
     "TenantBenchScenario",
     "SUITES",
+    "CLAIMS",
     "environment_fingerprint",
     "stage_percentiles",
     "run_scenario",
@@ -108,12 +112,12 @@ class ChaosBenchScenario(FleetBenchScenario):
 
     Runs a fleet cell where the scene comes from the chaos scenario
     registry and a named fault program injects serving faults on the
-    simulated clock.  The certified claim: through degrade -> recover the
-    cell's SLO error budget holds (``budget.consumed_fraction < 1.0`` at
-    the cell's looser ``slo_target``).  The extra ``chaos`` payload
-    section records the scenario, the fault program and the injector's
-    event log (all sim-clock deterministic, so it is part of the
-    byte-identity contract).
+    simulated clock.  The cell's budget is evaluated at its looser
+    ``slo_target``, which the ``chaos`` suite claim holds it to
+    (:data:`CLAIMS`).  The extra ``chaos`` payload section records the
+    scenario, the fault program and the injector's event log (all
+    sim-clock deterministic, so it is part of the byte-identity
+    contract).
     """
 
     chaos_scenario: str = ""
@@ -226,7 +230,7 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
             scheduler=False,
         ),
         # Deadline-aware EDF with bounded queues + MAMT-fallback degrade:
-        # must beat fifo-1srv on frame-deadline miss rate.
+        # must beat fifo-1srv on frame-deadline miss rate (_edf_beats_fifo).
         FleetBenchScenario(
             "edf-1srv-degrade",
             system="baseline+mamt",
@@ -240,8 +244,8 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
         # EDF plus cross-session batching: one GPU amortizes its fixed
         # per-call cost over requests of different clients.  Same config
         # as edf-1srv-degrade apart from the batching window; spends less
-        # server busy-ms per completed frame at an equal miss rate (see
-        # tests/test_serve.py::TestBatchingFleet).
+        # server busy-ms per completed frame at an equal miss rate
+        # (_batching_pays).
         FleetBenchScenario(
             "edf-1srv-batch",
             system="baseline+mamt",
@@ -468,13 +472,14 @@ def run_scenario_observed(
         sample_interval_ms=sample_interval_ms,
     )
     outcome = run_experiment(spec)
-    tracer = outcome.tracer
-    counters = tracer.metrics.snapshot()["counters"]
-    budget_report = evaluate_error_budget(
-        tracer,
-        budget_ms=budget_ms,
-        target=slo_target,
-        warmup_frames=scenario.warmup_frames,
+    result = outcome.result
+    sections, observed = _traced_sections(
+        scenario,
+        outcome,
+        result.duration_ms,
+        budget_ms,
+        slo_target,
+        offload=(result.offload_count, result.bytes_up, result.bytes_down),
     )
     payload = {
         "spec": {
@@ -489,19 +494,43 @@ def run_scenario_observed(
             "server_device": scenario.server_device,
             "degrade": degrade,
         },
-        "result": result_payload(outcome.result),
+        "result": result_payload(result),
+        **sections,
+    }
+    return payload, observed
+
+
+def _traced_sections(
+    scenario: BenchScenario,
+    outcome,
+    duration_ms: float,
+    budget_ms: float,
+    slo_target: float,
+    offload: tuple[int, int, int],
+) -> tuple[dict, dict]:
+    """The trace-derived payload sections every simulated cell carries
+    (``stages``, ``slo``, ``budget``, ``miss_causes``, ``offload``) and
+    the ``observed`` dict the ops report reads beyond the artifact.
+
+    ``offload`` is the cell's ``(offload_count, bytes_up, bytes_down)``:
+    one session's for a plain cell, fleet totals for a fleet cell.
+    """
+    tracer = outcome.tracer
+    warmup = scenario.warmup_frames
+    budget_report = evaluate_error_budget(
+        tracer, budget_ms=budget_ms, target=slo_target, warmup_frames=warmup
+    )
+    offload_count, bytes_up, bytes_down = offload
+    counters = tracer.metrics.snapshot()["counters"]
+    sections = {
         "stages": stage_percentiles(tracer),
-        "slo": evaluate_slo(
-            tracer, budget_ms=budget_ms, warmup_frames=scenario.warmup_frames
-        ),
+        "slo": evaluate_slo(tracer, budget_ms=budget_ms, warmup_frames=warmup),
         "budget": _lean_budget(budget_report),
-        "miss_causes": miss_causes(
-            tracer, budget_ms, warmup_frames=scenario.warmup_frames
-        ),
+        "miss_causes": miss_causes(tracer, budget_ms, warmup_frames=warmup),
         "offload": {
-            "offload_count": int(outcome.result.offload_count),
-            "bytes_up": int(outcome.result.bytes_up),
-            "bytes_down": int(outcome.result.bytes_down),
+            "offload_count": int(offload_count),
+            "bytes_up": int(bytes_up),
+            "bytes_down": int(bytes_down),
             "counters": dict(sorted(counters.items())),
         },
     }
@@ -509,9 +538,9 @@ def run_scenario_observed(
         "tracer": tracer,
         "sampler": outcome.sampler,
         "budget": budget_report,
-        "duration_ms": outcome.result.duration_ms,
+        "duration_ms": duration_ms,
     }
-    return payload, observed
+    return sections, observed
 
 
 def _run_kernel_scenario(scenario: KernelBenchScenario) -> dict:
@@ -602,15 +631,7 @@ def _run_fleet_scenario(
         **tenant_kwargs,
     )
     outcome = run_fleet(spec)
-    tracer = outcome.tracer
     results = outcome.results
-    counters = tracer.metrics.snapshot()["counters"]
-    budget_report = evaluate_error_budget(
-        tracer,
-        budget_ms=budget_ms,
-        target=slo_target,
-        warmup_frames=scenario.warmup_frames,
-    )
     count = len(results)
     offload_count = sum(r.offload_count for r in results)
     bytes_up = sum(r.bytes_up for r in results)
@@ -621,6 +642,14 @@ def _run_fleet_scenario(
         serve = {"scheduler": True, **outcome.scheduler.stats(duration)}
     else:
         serve = {"scheduler": False, "policy": "fifo", "num_servers": 1}
+    sections, observed = _traced_sections(
+        scenario,
+        outcome,
+        duration,
+        budget_ms,
+        slo_target,
+        offload=(offload_count, bytes_up, bytes_down),
+    )
     payload = {
         "spec": {
             "system": scenario.system,
@@ -664,20 +693,7 @@ def _run_fleet_scenario(
                 busy_ms / (duration * scenario.num_servers) if duration else 0.0
             ),
         },
-        "stages": stage_percentiles(tracer),
-        "slo": evaluate_slo(
-            tracer, budget_ms=budget_ms, warmup_frames=scenario.warmup_frames
-        ),
-        "budget": _lean_budget(budget_report),
-        "miss_causes": miss_causes(
-            tracer, budget_ms, warmup_frames=scenario.warmup_frames
-        ),
-        "offload": {
-            "offload_count": int(offload_count),
-            "bytes_up": int(bytes_up),
-            "bytes_down": int(bytes_down),
-            "counters": dict(sorted(counters.items())),
-        },
+        **sections,
         "serve": serve,
     }
     if is_chaos:
@@ -691,9 +707,6 @@ def _run_fleet_scenario(
             "fault": scenario.fault,
             "slo_target": round(scenario.slo_target, 6),
             "events": list(outcome.chaos.log) if outcome.chaos is not None else [],
-            "certified": bool(
-                budget_report["consumed_fraction"] < 1.0
-            ),
         }
     if is_tenant:
         # Tenant-only keys live in their own sections (plus spec keys)
@@ -707,12 +720,6 @@ def _run_fleet_scenario(
         payload["tenants"] = _tenant_section(scenario, outcome, budget_ms)
         if outcome.autoscaler is not None:
             payload["autoscale"] = outcome.autoscaler.stats()
-    observed = {
-        "tracer": tracer,
-        "sampler": outcome.sampler,
-        "budget": budget_report,
-        "duration_ms": duration,
-    }
     return payload, observed
 
 
@@ -793,8 +800,8 @@ def _result_schema_version() -> int:
     return SCHEMA_VERSION
 
 
-def _certify_tenants(payload: dict) -> dict:
-    """Suite-level certification of the multi-tenant isolation claim.
+def _tenant_isolation(payload: dict) -> dict:
+    """The multi-tenant isolation claim of the ``tenants`` suite.
 
     Checks, against the ``certify`` (saturated-mix) cell and the
     ``reference`` (unsaturated premium-only) cell:
@@ -808,7 +815,7 @@ def _certify_tenants(payload: dict) -> dict:
     * the best-effort tenant absorbs every shed/displacement and all
       non-premium degradation;
     * per-tenant metering reconciles exactly in every cell, and the
-      autoscale exhibit actually scaled up.
+      suite has an autoscale exhibit and every such cell scaled up.
     """
     floor = 0.02  # absolute slack when the reference miss rate is ~0
     scenarios = payload["scenarios"]
@@ -821,7 +828,12 @@ def _certify_tenants(payload: dict) -> dict:
         None,
     )
     if reference is None or certify is None:
-        return {"certified": False, "error": "missing reference/certify cell"}
+        return {
+            "tenant_cells_present": {
+                "ok": False,
+                "error": "missing reference/certify cell",
+            }
+        }
 
     def names_by_qos(cell: dict, qos: str) -> list[str]:
         return [
@@ -867,11 +879,11 @@ def _certify_tenants(payload: dict) -> dict:
         if "tenants" in cell
     )
     autoscale_cells = [c for c in scenarios.values() if "autoscale" in c]
-    autoscale_ok = all(
+    autoscale_ok = bool(autoscale_cells) and all(
         int(c["autoscale"]["scale_ups"]) >= 1 for c in autoscale_cells
     )
 
-    checks = {
+    return {
         "premium_within_slo": {
             "ok": bool(miss <= target),
             "miss_rate": round(miss, 6),
@@ -915,16 +927,78 @@ def _certify_tenants(payload: dict) -> dict:
             "cells": len(autoscale_cells),
         },
     }
+
+
+def _chaos_budgets_hold(payload: dict) -> dict:
+    """The chaos matrix claim: every cell holds its SLO error budget
+    (``consumed_fraction < 1.0``) at its own ``slo_target`` through
+    degrade -> recover.  One check per cell, named after the cell."""
+    checks = {}
+    for name, cell in payload["scenarios"].items():
+        consumed = cell["budget"]["consumed_fraction"]
+        checks[name] = {
+            "ok": bool(consumed < 1.0),
+            "consumed_fraction": consumed,
+            "slo_target": cell["chaos"]["slo_target"],
+        }
+    return checks
+
+
+def _edf_beats_fifo(payload: dict) -> dict:
+    """Deadline-aware EDF with MAMT-fallback degrade has a strictly lower
+    frame-deadline miss rate than the paper's bare FIFO deployment."""
+    scenarios = payload["scenarios"]
+    edf = scenarios["edf-1srv-degrade"]["slo"]["miss_rate"]
+    fifo = scenarios["fifo-1srv"]["slo"]["miss_rate"]
     return {
-        "certified": bool(all(c["ok"] for c in checks.values())),
-        "checks": checks,
+        "edf_beats_fifo_miss_rate": {
+            "ok": bool(edf < fifo),
+            "edf_miss_rate": edf,
+            "fifo_miss_rate": fifo,
+        }
     }
 
 
-# Suites whose artifacts carry a suite-level ``certification`` section,
-# computed over the finished cells (so ``repro bench run`` and the
-# dedicated CLI verb produce identical artifacts).
-_SUITE_CERTIFIERS = {"tenants": _certify_tenants}
+def _busy_ms_per_completion(cell: dict) -> float:
+    serve = cell["serve"]
+    busy = sum(entry["busy_ms"] for entry in serve["per_server"])
+    return busy / serve["completed"] if serve["completed"] else float("inf")
+
+
+def _batching_pays(payload: dict) -> dict:
+    """Cross-session batching (same EDF config apart from the window)
+    keeps an equal-or-better miss rate, spends strictly less server
+    busy-ms per completed request, and forms at least one batch."""
+    batch = payload["scenarios"]["edf-1srv-batch"]
+    plain = payload["scenarios"]["edf-1srv-degrade"]
+    batch_busy = _busy_ms_per_completion(batch)
+    plain_busy = _busy_ms_per_completion(plain)
+    batches = int(batch["serve"]["batching"]["batches"])
+    return {
+        "batch_dominates_unbatched_edf": {
+            "ok": bool(
+                batch["slo"]["miss_rate"] <= plain["slo"]["miss_rate"]
+                and batch_busy < plain_busy
+                and batches >= 1
+            ),
+            "miss_rate": batch["slo"]["miss_rate"],
+            "unbatched_miss_rate": plain["slo"]["miss_rate"],
+            "busy_ms_per_completion": round(batch_busy, 6),
+            "unbatched_busy_ms_per_completion": round(plain_busy, 6),
+            "batches": batches,
+        }
+    }
+
+
+# The claims registry: each suite's claims are plain functions over the
+# finished suite payload, returning ``{check_name: {"ok": bool, **detail}}``.
+# ``run_suite`` folds every check of a suite into its ``certification``
+# section and ``repro bench run`` exits non-zero when one fails.
+CLAIMS: dict[str, tuple[Callable[[dict], dict], ...]] = {
+    "fleet": (_edf_beats_fifo, _batching_pays),
+    "tenants": (_tenant_isolation,),
+    "chaos": (_chaos_budgets_hold,),
+}
 
 
 def run_suite(
@@ -934,7 +1008,8 @@ def run_suite(
     budget_ms: float = FRAME_BUDGET_MS,
     slo_target: float = DEFAULT_SLO_TARGET,
 ) -> dict:
-    """Run every scenario of a named suite into one BENCH payload."""
+    """Run every scenario of a named suite into one BENCH payload,
+    certified against the suite's :data:`CLAIMS`."""
     from ..eval.reporting import SCHEMA_VERSION
 
     if suite not in SUITES:
@@ -957,9 +1032,15 @@ def run_suite(
             for scenario in SUITES[suite]
         },
     }
-    certifier = _SUITE_CERTIFIERS.get(suite)
-    if certifier is not None:
-        payload["certification"] = certifier(payload)
+    claims = CLAIMS.get(suite, ())
+    if claims:
+        checks = {}
+        for claim in claims:
+            checks.update(claim(payload))
+        payload["certification"] = {
+            "certified": all(check["ok"] for check in checks.values()),
+            "checks": checks,
+        }
     return payload
 
 

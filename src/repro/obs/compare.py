@@ -66,9 +66,9 @@ _SPEEDUP_POLICY = MetricPolicy(True, 0.60, 1.0)
 # misses moving to a cause).
 _UNCLASSIFIED_POLICY = MetricPolicy(False, 0.25, 0.5)
 _CAUSE_COUNT_POLICY = MetricPolicy(False, 0.25, 2.0)
-# Certification verdicts (chaos cells, tenant suites) are booleans cast
-# to 0/1: any flip from certified to not is a full-size change, so the
-# 0.5 floors flag exactly that and nothing else.
+# Certification verdicts (the suite verdict and each claim check) are
+# booleans cast to 0/1: any flip from certified to not is a full-size
+# change, so the 0.5 floors flag exactly that and nothing else.
 _CERTIFIED_POLICY = MetricPolicy(True, 0.5, 0.5)
 
 
@@ -79,7 +79,7 @@ def policy_for(path: str) -> MetricPolicy | None:
         if leaf == "unclassified":
             return _UNCLASSIFIED_POLICY
         return _CAUSE_COUNT_POLICY
-    if leaf == "certified":
+    if leaf == "certified" or path.startswith("certification.checks."):
         return _CERTIFIED_POLICY
     if ".tenants.per_tenant." in path and leaf in ("shed", "displaced"):
         return _CAUSE_COUNT_POLICY
@@ -182,18 +182,16 @@ def iter_metric_paths(payload: dict):
                 # NaN (tenant with no measured frames) is not comparable.
                 if value is not None and value == value:
                     yield f"{prefix}.slo.{key}", float(value)
-        chaos = scenario.get("chaos", {})
-        if "certified" in chaos:
-            yield (
-                f"{scenario_name}.chaos.certified",
-                float(bool(chaos["certified"])),
-            )
     certification = payload.get("certification")
     if certification is not None:
         yield (
             "certification.certified",
             float(bool(certification.get("certified"))),
         )
+        # One path per claim check, so a report names the check that flipped.
+        checks = certification.get("checks", {})
+        for name in sorted(checks):
+            yield f"certification.checks.{name}.ok", float(bool(checks[name]["ok"]))
 
 
 def _classify(

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: suite runner, BENCH artifacts,
 noise-aware comparison/regression gating, and the trend aggregator."""
 
+import copy
 import json
 
 import pytest
@@ -137,6 +138,10 @@ class TestBenchPayload:
         assert offload["bytes_up"] > 0
         assert offload["counters"]["server.requests"] >= 1
         assert offload["counters"]["pipeline.frames"] == 80
+
+    def test_suite_without_claims_has_no_certification(self, micro_payload):
+        assert "micro" not in bench_mod.CLAIMS
+        assert "certification" not in micro_payload
 
     def test_budget_section(self, micro_payload):
         assert micro_payload["slo_target"] == 0.05
@@ -293,6 +298,18 @@ class TestComparePolicies:
         report = compare_payloads(old, new)
         assert any("mamt.predict" in p for p in report["missing"])
         assert report["added"] == []
+
+    def test_flipped_claim_check_regresses_exactly_its_path(self):
+        old = synthetic_payload()
+        old["certification"] = {
+            "certified": True,
+            "checks": {"holds": {"ok": True}, "flips": {"ok": True, "n": 3}},
+        }
+        new = copy.deepcopy(old)
+        new["certification"]["checks"]["flips"]["ok"] = False
+        report = compare_payloads(old, new)
+        assert report["regressed"] == ["certification.checks.flips.ok"]
+        assert policy_for("certification.checks.flips.ok").higher_is_better
 
     def test_render_comparison_lists_verdicts(self):
         report = compare_payloads(

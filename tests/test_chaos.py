@@ -12,6 +12,10 @@ Covers the three contracts of ``repro.chaos``:
 
 from __future__ import annotations
 
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import (
@@ -29,6 +33,7 @@ from repro.eval.experiments import FleetSpec, run_fleet
 from repro.obs.bench import (
     SUITES,
     ChaosBenchScenario,
+    _chaos_budgets_hold,
     dump_bench,
     run_scenario,
     strip_timing,
@@ -349,7 +354,38 @@ class TestByteDeterminism:
         assert chaos["scenario"] == "wifi-to-lte"
         assert chaos["fault"] == "uplink-stall"
         assert 0.0 < chaos["slo_target"] <= 1.0
-        assert isinstance(chaos["certified"], bool)
         json.dumps(chaos)  # must be JSON-clean
         assert payload["spec"]["chaos_scenario"] == "wifi-to-lte"
         assert payload["spec"]["network"] == "wifi_5ghz"  # registry's choice
+
+
+CHAOS_BASELINE = Path(__file__).resolve().parent.parent / (
+    "benchmarks/baselines/BENCH_chaos_baseline.json"
+)
+
+
+class TestChaosClaim:
+    @pytest.fixture(scope="class")
+    def payload(self):
+        return json.loads(CHAOS_BASELINE.read_text())
+
+    def test_committed_matrix_certifies_every_cell(self, payload):
+        certification = payload["certification"]
+        assert certification["certified"] is True
+        assert set(certification["checks"]) == {c.name for c in SUITES["chaos"]}
+        for name, check in certification["checks"].items():
+            cell = payload["scenarios"][name]
+            assert check == {
+                "ok": True,
+                "consumed_fraction": cell["budget"]["consumed_fraction"],
+                "slo_target": cell["chaos"]["slo_target"],
+            }
+            assert check["consumed_fraction"] < 1.0
+
+    def test_blown_budget_fails_only_its_cell(self, payload):
+        blown = copy.deepcopy(payload)
+        blown["scenarios"]["transit+straggler"]["budget"]["consumed_fraction"] = 1.0
+        checks = _chaos_budgets_hold(blown)
+        assert [name for name, c in checks.items() if not c["ok"]] == [
+            "transit+straggler"
+        ]

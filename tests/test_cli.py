@@ -7,6 +7,7 @@ import pytest
 from repro.eval import ExperimentSpec, run_experiment
 from repro.eval.cli import build_parser, main
 from repro.eval.reporting import SCHEMA_VERSION, result_payload, save_json
+from repro.obs import bench
 
 
 class TestParser:
@@ -160,19 +161,6 @@ class TestCleanErrors:
         assert code == 2
         assert err.startswith("error: unknown suite 'bogus'")
 
-    def test_chaos_unknown_scenario(self, capsys):
-        code, err = self._run(["chaos", "--scenario", "bogus"], capsys)
-        assert code == 2
-        assert err.startswith("error: unknown scenario 'bogus'")
-        assert "crowded-occlusion" in err
-
-    def test_chaos_unknown_fault(self, capsys):
-        code, err = self._run(["chaos", "--fault", "bogus"], capsys)
-        assert code == 2
-        assert err.startswith("error: unknown fault program 'bogus'")
-        assert "replica-outage" in err
-
-
 class TestListFlags:
     """Every long-running verb exposes ``--list``: a deterministic
     enumeration of the names it accepts, exit 0, nothing executed."""
@@ -194,9 +182,14 @@ class TestListFlags:
         assert "chaos:" in out
 
     def test_chaos_list(self, capsys):
-        code, out = self._run(["chaos", "--list"], capsys)
+        # The chaos registries through `list`, the matrix cells through
+        # `bench run --list`.
+        code, out = self._run(["list"], capsys)
         assert code == 0
-        assert "scenarios:" in out and "faults:" in out and "cells:" in out
+        assert "scenarios:" in out and "faults:" in out
+        code, out = self._run(["bench", "run", "--list"], capsys)
+        assert code == 0
+        assert "chaos:" in out and "whip-pan+replica-outage" in out
 
     def test_why_list(self, capsys):
         code, out = self._run(["why", "--list"], capsys)
@@ -204,15 +197,17 @@ class TestListFlags:
         assert "suites:" in out
 
     def test_tenants_list(self, capsys):
-        code, out = self._run(["tenants", "--list"], capsys)
+        code, out = self._run(["list"], capsys)
         assert code == 0
-        assert "qos:" in out
-        assert "default tenants:" in out and "gold:premium:2" in out
-        assert "cells:" in out and "autoscale-burst" in out
+        assert "qos:" in out and "premium" in out
+        assert "tenants:" in out and "gold:premium:2" in out
+        code, out = self._run(["bench", "run", "--list"], capsys)
+        assert code == 0
+        assert "tenants:" in out and "autoscale-burst" in out
 
     def test_list_output_is_deterministic(self, capsys):
-        first = self._run(["tenants", "--list"], capsys)
-        second = self._run(["tenants", "--list"], capsys)
+        first = self._run(["bench", "run", "--list"], capsys)
+        second = self._run(["bench", "run", "--list"], capsys)
         assert first == second
 
 
@@ -246,23 +241,46 @@ class TestTenantServe:
         assert "Traceback" not in err
 
 
-class TestChaosCommand:
-    def test_filtered_cell_certifies(self, capsys, tmp_path):
-        """A single scenario x fault cell runs end to end, prints the
-        certification table, and exits 0 without writing an artifact."""
-        code = main(
-            [
-                "chaos",
-                "--scenario",
-                "lighting-flip",
-                "--fault",
-                "straggler",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+class TestBenchRunCertify:
+    """``bench run`` is the one certify verb: one PASS/FAIL line per
+    claim check of the suite, exit 1 when any check fails."""
+
+    def test_failing_claim_exits_1(self, capsys, tmp_path, monkeypatch):
+        def claim(payload):
+            return {
+                "holds": {"ok": True, "cells": len(payload["scenarios"])},
+                "breaks": {"ok": False, "reason": "forced"},
+            }
+
+        monkeypatch.setitem(bench.CLAIMS, "micro", (claim,))
+        code = main(["bench", "run", "--suite", "micro", "--out", str(tmp_path)])
+        assert code == 1
         out = capsys.readouterr().out
-        assert "lighting-flip+straggler" in out
-        assert "certified: all 1 cells held their error budget" in out
-        assert list(tmp_path.iterdir()) == []  # filtered runs write nothing
+        assert "PASS holds cells=12" in out
+        assert "FAIL breaks reason=forced" in out
+        payload = json.loads((tmp_path / "BENCH_micro_dev.json").read_text())
+        assert payload["certification"] == {
+            "certified": False,
+            "checks": {
+                "breaks": {"ok": False, "reason": "forced"},
+                "holds": {"ok": True, "cells": 12},
+            },
+        }
+
+    def test_tenant_cells_print_tenant_tables(self, capsys, tmp_path, monkeypatch):
+        cell = bench.TenantBenchScenario(
+            "tiny-tenants",
+            system="baseline+mamt",
+            frames=12,
+            resolution=(96, 72),
+            warmup_frames=4,
+            num_clients=2,
+            tenants="gold:premium:1,bulk:best_effort:1",
+        )
+        monkeypatch.setitem(bench.SUITES, "micro", (cell,))
+        code = main(["bench", "run", "--suite", "micro", "--out", str(tmp_path)])
+        assert code == 0  # the micro suite has no claims
+        out = capsys.readouterr().out
+        assert "tenants — tiny-tenants [reference]" in out
+        assert "reconciliation: requests exact" in out
+        assert "PASS" not in out and "FAIL" not in out

@@ -651,6 +651,18 @@ class TestFleetBaselineArtifact:
         fifo = payload["scenarios"]["fifo-1srv"]["serve"]
         assert fifo["scheduler"] is False
 
+    def test_certification_checks(self, payload):
+        # The same claims, as `bench run` certifies them from CLAIMS.
+        certification = payload["certification"]
+        assert certification["certified"] is True
+        assert set(certification["checks"]) == {
+            "edf_beats_fifo_miss_rate",
+            "batch_dominates_unbatched_edf",
+        }
+        check = certification["checks"]["edf_beats_fifo_miss_rate"]
+        assert check["ok"] is True
+        assert check["edf_miss_rate"] < check["fifo_miss_rate"]
+
 
 class TestBatchConfig:
     def test_validate_rejects_bad_knobs(self):
@@ -930,3 +942,9 @@ class TestBatchingFleet:
         assert busy_per_completed(batch) < busy_per_completed(plain)
         assert batch["serve"]["batching"]["batches"] >= 1
         assert batch["serve"]["batching"]["batch_saved_ms"] > 0.0
+        check = payload["certification"]["checks"]["batch_dominates_unbatched_edf"]
+        assert check["ok"] is True
+        assert check["busy_ms_per_completion"] == pytest.approx(
+            busy_per_completed(batch), abs=1e-6
+        )
+        assert check["batches"] == batch["serve"]["batching"]["batches"]

@@ -3,6 +3,7 @@ start-time fair queueing, per-tenant metering, weighted-fair
 displacement, the queue-driven autoscaler, and the committed tenants
 BENCH baseline."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from repro.eval.experiments import FleetSpec, run_fleet
 from repro.model import SimulatedSegmentationModel
-from repro.obs import Tracer
+from repro.obs import Tracer, bench
 from repro.runtime.interface import OffloadRequest
 from repro.runtime.pipeline import EdgeServer
 from repro.serve import (
@@ -515,3 +516,26 @@ class TestTenantsBaseline:
         series = cell["autoscale"]["replica_series"]
         assert series[0] == [0.0, 1]
         assert cell["autoscale"]["scale_ups"] >= 1
+
+    def test_claim_reproduces_committed_certification(self, payload):
+        assert bench.CLAIMS["tenants"] == (bench._tenant_isolation,)
+        assert bench._tenant_isolation(payload) == payload["certification"]["checks"]
+
+    def test_no_autoscale_cell_fails_autoscaler_engaged(self, payload):
+        # "every autoscale cell scaled up" must not hold vacuously.
+        stripped = copy.deepcopy(payload)
+        for cell in stripped["scenarios"].values():
+            cell.pop("autoscale", None)
+        check = bench._tenant_isolation(stripped)["autoscaler_engaged"]
+        assert check == {"ok": False, "cells": 0}
+
+    def test_missing_role_cell_is_a_failing_check(self, payload):
+        stripped = copy.deepcopy(payload)
+        del stripped["scenarios"]["premium-only"]
+        checks = bench._tenant_isolation(stripped)
+        assert checks == {
+            "tenant_cells_present": {
+                "ok": False,
+                "error": "missing reference/certify cell",
+            }
+        }
