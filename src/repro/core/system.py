@@ -92,7 +92,8 @@ class EdgeISSystem:
         # MAMT-off fallback: cached-result motion-vector tracking.
         self._mv_tracker = MotionVectorTracker()
         self._outstanding = 0
-        self._last_gray: np.ndarray | None = None
+        # Read (and so shaded) only by the MAMT-off reset path.
+        self._last_frame: VideoFrame | None = None
         self._last_masks: list[InstanceMask] = []
         self._offloads_sent = 0
         self._last_offload_frame = -(10**9)
@@ -163,7 +164,7 @@ class EdgeISSystem:
         compute += stage_ms
         cursor += stage_ms
         self._last_masks = masks
-        self._last_gray = frame.gray
+        self._last_frame = frame
 
         # Offload decision.
         offload = None
@@ -227,8 +228,8 @@ class EdgeISSystem:
                 outstanding=self._outstanding,
             )
         self.vo.apply_segmentation(frame_index, masks)
-        if not self.config.use_mamt and self._last_gray is not None:
-            self._mv_tracker.reset(masks, self._last_gray)
+        if not self.config.use_mamt and self._last_frame is not None:
+            self._mv_tracker.reset(masks, self._last_frame.gray)
         return self.config.timing.integrate_result_ms
 
     def memory_bytes(self) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,11 +42,13 @@ from ..obs import (
     build_report,
     build_why,
     compare_payloads,
+    exact_difference,
     evaluate_slo,
     mean_frame_latency_ms,
     render_comparison,
     run_suite,
     stage_table,
+    suite_owns_slo_target,
     write_bench,
     write_chrome_trace,
     write_jsonl,
@@ -429,12 +432,17 @@ def _cmd_bench_run(args) -> int:
                 for suite in sorted(SUITES)
             }
         )
+    if args.slo_target is not None and suite_owns_slo_target(args.suite):
+        raise ValueError(
+            f"--slo-target does not apply to suite {args.suite!r}:"
+            " each of its cells sets its own target"
+        )
     payload = run_suite(
         args.suite,
         args.label,
         degrade=args.degrade,
         budget_ms=args.budget_ms,
-        slo_target=args.slo_target,
+        slo_target=DEFAULT_SLO_TARGET if args.slo_target is None else args.slo_target,
     )
     path = write_bench(payload, args.out)
     table = Table(
@@ -502,9 +510,18 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
-    """Diff two BENCH artifacts; exit non-zero on any regression."""
+    """Diff two BENCH artifacts; exit non-zero on any regression (with
+    ``--exact``: on any difference outside timing, environment and
+    label)."""
     old = json.loads(Path(args.old).read_text())
     new = json.loads(Path(args.new).read_text())
+    if args.exact:
+        path = exact_difference(old, new)
+        if path is None:
+            print(f"identical: {args.new} = {args.old} (timing, environment, label stripped)")
+            return 0
+        print(f"DIFFERS at {path}")
+        return 1
     report = compare_payloads(old, new, threshold_scale=args.threshold_scale)
     render_comparison(report).print()
     print(
@@ -801,8 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument(
         "--slo-target",
         type=float,
-        default=DEFAULT_SLO_TARGET,
-        help="error-budget miss-rate target (default %(default)s)",
+        default=None,
+        help=f"error-budget miss-rate target (default {DEFAULT_SLO_TARGET};"
+        " not accepted by suites whose cells set their own, i.e. chaos)",
     )
     _add_list_flag(bench_run)
     bench_run.set_defaults(func=_cmd_bench_run)
@@ -817,6 +835,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="scale every per-metric threshold (loose CI gates use > 1)",
+    )
+    bench_compare.add_argument(
+        "--exact",
+        action="store_true",
+        help="byte-compare with timing, environment and label stripped; print the"
+        " first differing JSON path and exit 1 on any difference",
     )
     bench_compare.set_defaults(func=_cmd_bench_compare)
 
@@ -920,7 +944,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro list | head -3``): what it read
+        # is all it wanted.  Point stdout at devnull so the interpreter's
+        # final flush cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except (KeyError, ValueError, FileNotFoundError) as exc:
         # Unknown suite/scenario/fault names and missing artifact paths
         # are user errors: one clear line on stderr, not a traceback.

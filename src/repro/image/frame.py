@@ -7,7 +7,7 @@ smoothing, gradients and pyramids, all in numpy/scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -109,7 +109,6 @@ def block_entropy(gray: np.ndarray, block: int) -> np.ndarray:
     return out
 
 
-@dataclass
 class VideoFrame:
     """One frame of a 30 fps stream.
 
@@ -121,25 +120,58 @@ class VideoFrame:
         Capture time in seconds (index / fps for synthetic streams).
     image:
         (H, W, 3) uint8 RGB raster.
+
+    The image is either given up front or shaded on demand.  A frame
+    built with ``shape`` and ``shade`` (a zero-argument callable that
+    returns the raster) calls ``shade`` once, on the first read of
+    ``image`` or ``gray``, and then drops it together with whatever it
+    holds.  ``height``, ``width`` and ``shape`` come from the frame size
+    and never shade.
     """
 
-    index: int
-    timestamp: float
-    image: np.ndarray
-    _gray: np.ndarray | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("index", "timestamp", "_image", "_shape", "_shade", "_gray")
 
-    def __post_init__(self):
-        self.image = np.asarray(self.image)
-        if self.image.ndim != 3 or self.image.shape[2] != 3:
-            raise ValueError("VideoFrame.image must be (H, W, 3)")
+    def __init__(
+        self,
+        index: int,
+        timestamp: float,
+        image: np.ndarray | None = None,
+        *,
+        shape: tuple[int, int] | None = None,
+        shade: Callable[[], np.ndarray] | None = None,
+    ):
+        self.index = index
+        self.timestamp = timestamp
+        self._gray: np.ndarray | None = None
+        self._shade = None
+        if image is not None:
+            self._image = _checked_image(image)
+            self._shape = self._image.shape[:2]
+        elif shape is not None and shade is not None:
+            self._image = None
+            self._shape = (int(shape[0]), int(shape[1]))
+            self._shade = shade
+        else:
+            raise ValueError("VideoFrame needs an image, or a shape and a shade callable")
+
+    @property
+    def image(self) -> np.ndarray:
+        if self._image is None:
+            image = _checked_image(self._shade())
+            if image.shape[:2] != self._shape:
+                raise ValueError(
+                    f"shaded image is {image.shape[:2]}, frame is {self._shape}"
+                )
+            self._image, self._shade = image, None
+        return self._image
 
     @property
     def height(self) -> int:
-        return int(self.image.shape[0])
+        return self._shape[0]
 
     @property
     def width(self) -> int:
-        return int(self.image.shape[1])
+        return self._shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -151,3 +183,10 @@ class VideoFrame:
         if self._gray is None:
             self._gray = to_grayscale(self.image)
         return self._gray
+
+
+def _checked_image(image) -> np.ndarray:
+    image = np.asarray(image)
+    if image.ndim != 3 or image.shape[2] != 3:
+        raise ValueError("VideoFrame.image must be (H, W, 3)")
+    return image

@@ -200,6 +200,7 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
         KernelBenchScenario(
             "frontend.noisy_descriptor", kernel="frontend.noisy_descriptor"
         ),
+        KernelBenchScenario("synthetic.render", kernel="synthetic.render"),
     ),
     "smoke": (
         BenchScenario(
@@ -1001,6 +1002,14 @@ CLAIMS: dict[str, tuple[Callable[[dict], dict], ...]] = {
 }
 
 
+def suite_owns_slo_target(suite: str) -> bool:
+    """True when every cell of ``suite`` evaluates its budget at its own
+    ``slo_target`` (the chaos cells), so a suite-level target means
+    nothing there."""
+    cells = SUITES.get(suite, ())
+    return bool(cells) and all(isinstance(cell, ChaosBenchScenario) for cell in cells)
+
+
 def run_suite(
     suite: str,
     label: str,
@@ -1009,7 +1018,9 @@ def run_suite(
     slo_target: float = DEFAULT_SLO_TARGET,
 ) -> dict:
     """Run every scenario of a named suite into one BENCH payload,
-    certified against the suite's :data:`CLAIMS`."""
+    certified against the suite's :data:`CLAIMS`.  The payload records
+    ``slo_target`` only for suites whose cells use it
+    (:func:`suite_owns_slo_target`)."""
     from ..eval.reporting import SCHEMA_VERSION
 
     if suite not in SUITES:
@@ -1022,7 +1033,6 @@ def run_suite(
         "suite": suite,
         "label": label,
         "budget_ms": round(budget_ms, 6),
-        "slo_target": round(slo_target, 6),
         "degrade": degrade,
         "environment": environment_fingerprint(),
         "scenarios": {
@@ -1032,6 +1042,8 @@ def run_suite(
             for scenario in SUITES[suite]
         },
     }
+    if not suite_owns_slo_target(suite):
+        payload["slo_target"] = round(slo_target, 6)
     claims = CLAIMS.get(suite, ())
     if claims:
         checks = {}

@@ -6,6 +6,10 @@ relative thresholds *and* minimum-effect floors, so a 3% wobble on a
 0.2 ms stage or a one-byte payload change never trips the gate.  The
 ``repro bench compare`` command exits non-zero when anything regresses,
 naming the offending metric path (which embeds the stage name).
+:func:`exact_difference` is the stricter oracle of ``bench compare
+--exact``: with timing, the environment and the label stripped, two
+artifacts must be byte-identical, and the first differing JSON path is
+named.
 
 :func:`render_trend_markdown` folds every ``BENCH_*.json`` in a results
 directory into a markdown trend table — the repo's machine-readable perf
@@ -19,7 +23,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bench import dump_bench, strip_timing
+
 __all__ = [
+    "exact_difference",
     "MetricPolicy",
     "policy_for",
     "iter_metric_paths",
@@ -264,6 +271,43 @@ def compare_payloads(
         "missing": sorted(old_metrics.keys() - new_metrics.keys()),
         "added": sorted(new_metrics.keys() - old_metrics.keys()),
     }
+
+
+def exact_difference(old: dict, new: dict) -> str | None:
+    """The first JSON path (in sorted-key order) where two BENCH payloads
+    differ once kernel timing, ``environment`` and ``label`` (the
+    artifact's file-name tag) are stripped; ``None`` when the stripped
+    artifacts are byte-identical."""
+    old, new = (strip_timing(payload) for payload in (old, new))
+    for payload in (old, new):
+        payload.pop("environment", None)
+        payload.pop("label", None)
+    if dump_bench(old) == dump_bench(new):
+        return None
+    return _first_difference(old, new, "") or "(formatting)"
+
+
+def _first_difference(old, new, path: str) -> str | None:
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            here = f"{path}.{key}" if path else key
+            if key not in old or key not in new:
+                return here
+            found = _first_difference(old[key], new[key], here)
+            if found:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list):
+        for index, (old_item, new_item) in enumerate(zip(old, new)):
+            found = _first_difference(old_item, new_item, f"{path}[{index}]")
+            if found:
+                return found
+        if len(old) != len(new):
+            return f"{path}[{min(len(old), len(new))}]"
+        return None
+    if json.dumps(old) != json.dumps(new):
+        return path or "(root)"
+    return None
 
 
 def render_comparison(report: dict):

@@ -361,6 +361,45 @@ def _kernel_frontend_noisy_descriptor(seed: int, repeats: int) -> dict:
     )
 
 
+def _kernel_synthetic_render(seed: int, repeats: int) -> dict:
+    """The geometry pass against the eagerly shaded reference loop on a
+    few frames of one video.  The geometry pass leaves colour unshaded;
+    equivalence shades it and compares depth, label map and RGB."""
+    from ..synthetic.datasets import make_dataset
+
+    video = make_dataset("xiph_like", num_frames=90, resolution=(160, 120), seed=seed)
+    renderer = video._renderer
+    views = [
+        (video.trajectory.pose_cw(index / video.fps), index / video.fps, index)
+        for index in (0, 30, 60, 89)
+    ]
+
+    def run(render):
+        return [render(pose, time, frame_index=index) for pose, time, index in views]
+
+    # One count per raster that differs anywhere.
+    err = float(
+        sum(
+            not np.array_equal(lazy_raster, eager_raster)
+            for lazy, eager in zip(run(renderer.render), run(renderer._render_reference))
+            for lazy_raster, eager_raster in (
+                (lazy.depth, eager.depth),
+                (lazy.label_map, eager.label_map),
+                (lazy.frame.image, eager.frame.image),
+            )
+        )
+    )
+    return _cell(
+        "synthetic.render",
+        len(views),
+        repeats,
+        lambda: run(renderer.render),
+        lambda: run(renderer._render_reference),
+        err,
+        0.0,
+    )
+
+
 def _kernel_serve_batch_latency(seed: int, repeats: int) -> dict:
     """Deterministic cell: the calibrated batch latency model at the
     fleet's operating point (TX2-scaled fixed cost, the admission
@@ -407,6 +446,7 @@ _KERNELS = {
     "brief.hamming": _kernel_brief_hamming,
     "matcher.match": _kernel_matcher_match,
     "frontend.noisy_descriptor": _kernel_frontend_noisy_descriptor,
+    "synthetic.render": _kernel_synthetic_render,
 }
 
 KERNEL_NAMES = tuple(sorted(_KERNELS))

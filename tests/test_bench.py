@@ -24,6 +24,7 @@ from repro.obs.bench import (
 from repro.obs.kernelbench import KERNEL_NAMES, TIMING_KEYS
 from repro.obs.compare import (
     compare_payloads,
+    exact_difference,
     load_bench_dir,
     policy_for,
     render_comparison,
@@ -380,6 +381,35 @@ class TestBenchCli:
         assert code == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out and "server.infer" in out
+
+    def test_bench_compare_exact(self, micro_payload, tmp_path, capsys):
+        base = write_bench(micro_payload, tmp_path)
+        # Timing, environment and label are outside the exact contract.
+        rerun = copy.deepcopy(micro_payload)
+        rerun["environment"]["python"] = "0.0.0"
+        rerun["label"] = "rerun"
+        rerun["scenarios"]["fast.arc_run"]["kernel"]["speedup_x"] = 0.1
+        same = write_bench(rerun, tmp_path)
+        assert cli_main(["bench", "compare", "--exact", str(base), str(same)]) == 0
+        assert capsys.readouterr().out.startswith("identical:")
+        # One changed leaf deep in a cell is named by its full path.
+        rerun["scenarios"]["wifi5-walk"]["slo"]["frames"] += 1
+        changed = write_bench(rerun, tmp_path / "changed")
+        assert cli_main(["bench", "compare", "--exact", str(base), str(changed)]) == 1
+        assert capsys.readouterr().out == "DIFFERS at scenarios.wifi5-walk.slo.frames\n"
+
+    def test_exact_difference_paths(self):
+        old = synthetic_payload()
+        assert exact_difference(old, copy.deepcopy(old)) is None
+        new = copy.deepcopy(old)
+        del new["budget_ms"]
+        assert exact_difference(old, new) == "budget_ms"
+        new = copy.deepcopy(old)
+        new["scenarios"]["cell"]["result"]["mean_iou"] = 0.9000001
+        assert exact_difference(old, new) == "scenarios.cell.result.mean_iou"
+        old["series"], new["series"] = [1, 2], [1, 2, 3]
+        new["scenarios"] = old["scenarios"]
+        assert exact_difference(old, new) == "series[2]"
 
     def test_bench_trend_writes_report(self, micro_payload, tmp_path, capsys):
         write_bench(micro_payload, tmp_path)

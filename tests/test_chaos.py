@@ -37,6 +37,7 @@ from repro.obs.bench import (
     dump_bench,
     run_scenario,
     strip_timing,
+    suite_owns_slo_target,
 )
 
 
@@ -381,6 +382,14 @@ class TestChaosClaim:
                 "slo_target": cell["chaos"]["slo_target"],
             }
             assert check["consumed_fraction"] < 1.0
+
+    def test_targets_live_in_the_cells(self, payload):
+        # No suite-level target: it would govern none of the cells.
+        assert suite_owns_slo_target("chaos")
+        assert not suite_owns_slo_target("fleet")
+        assert "slo_target" not in payload
+        for cell in payload["scenarios"].values():
+            assert cell["budget"]["target_miss_rate"] == cell["chaos"]["slo_target"]
 
     def test_blown_budget_fails_only_its_cell(self, payload):
         blown = copy.deepcopy(payload)

@@ -1,6 +1,9 @@
 """Tests for the experiment CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,31 @@ class TestCleanErrors:
         assert "/no/such/old.json" in err
         assert err.count("\n") == 1
 
+    def test_chaos_rejects_suite_slo_target(self, capsys):
+        code, err = self._run(
+            ["bench", "run", "--suite", "chaos", "--slo-target", "0.1"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: --slo-target does not apply to suite 'chaos'")
+        assert err.count("\n") == 1
+
+    def test_closed_stdout_pipe_ends_cleanly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.eval.cli", "bench", "run", "--list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert done.stderr == b""
+
     def test_report_unknown_suite(self, capsys):
         code, err = self._run(["report", "--suite", "bogus"], capsys)
         assert code == 2
@@ -256,14 +284,15 @@ class TestBenchRunCertify:
         code = main(["bench", "run", "--suite", "micro", "--out", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "PASS holds cells=12" in out
+        cells = len(bench.SUITES["micro"])
+        assert f"PASS holds cells={cells}" in out
         assert "FAIL breaks reason=forced" in out
         payload = json.loads((tmp_path / "BENCH_micro_dev.json").read_text())
         assert payload["certification"] == {
             "certified": False,
             "checks": {
                 "breaks": {"ok": False, "reason": "forced"},
-                "holds": {"ok": True, "cells": 12},
+                "holds": {"ok": True, "cells": cells},
             },
         }
 
